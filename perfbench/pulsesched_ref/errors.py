@@ -1,0 +1,65 @@
+"""Exception types shared across the package."""
+
+
+class PulseSchedError(Exception):
+    """Base class for all scheduling errors."""
+
+
+class EmptyInputError(PulseSchedError):
+    """An operation that needs at least one load received none."""
+
+
+class TickOverflowError(PulseSchedError):
+    """A derived time quantity (usually the hyperperiod) exceeds the tick range."""
+
+
+class NonRepresentableTimeError(PulseSchedError):
+    """A time quantity does not land exactly on the 1 µs tick grid."""
+
+
+class NonRepresentableDutyError(PulseSchedError):
+    """A requested duty ratio does not yield an integral on-width in ticks."""
+
+
+class ZeroDutyError(PulseSchedError):
+    """A duty ratio of zero (or less) was requested."""
+
+
+class MissingVoltageError(PulseSchedError):
+    """An operation needs a charging voltage the pulse spec does not carry."""
+
+
+class MissingSocError(PulseSchedError):
+    """An operation needs a state of charge the pulse spec does not carry."""
+
+
+class MixedFrequencyError(PulseSchedError):
+    """The same-frequency solver received loads with differing periods."""
+
+
+class NotOverLimitError(PulseSchedError):
+    """A de-rating operation was invoked while already at or under the cap."""
+
+
+class InfeasibleError(PulseSchedError):
+    """No assignment satisfies the packing constraints.
+
+    `groups` carries the 1-based indices of the affected groups when the
+    error is raised fleet-wide.
+    """
+
+    def __init__(self, message: str, groups: tuple = ()):
+        super().__init__(message)
+        self.groups = groups
+
+
+class InvalidAssignmentError(PulseSchedError):
+    """An assignment fails validation against its loads."""
+
+
+class NoAdmissibleError(PulseSchedError):
+    """Even the lowest-SOC load exceeds the power cap and de-rating is off."""
+
+
+class ScenarioError(PulseSchedError):
+    """A scenario file failed validation; message is anchored to file and field."""
