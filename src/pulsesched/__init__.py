@@ -31,26 +31,22 @@ from .errors import (
 from .grouping import Group, GroupPlan, partition_by_frequency, schedule_fleet
 from .multifreq import (
     AssignmentMultiFreq,
+    Violation,
     check_groupability,
     realize_phases_multifreq,
-    solve_multifreq,
-    verify_multifreq,
-)
-from .power import PowerPlan, backfill, enforce_limit, prioritize_and_admit
-from .samefreq import (
-    AssignmentSameFreq,
-    Violation,
     realize_phases_samefreq,
+    solve_multifreq,
     solve_samefreq,
+    verify_multifreq,
     verify_samefreq,
 )
+from .power import PowerPlan, backfill, enforce_limit, prioritize_and_admit
 from .ticks import MAX_TICK, TICKS_PER_SECOND, seconds_str, ticks_from_seconds
 from .waveform import (
     Metrics,
     PulseSpec,
     StepProfile,
     aggregate_profile,
-    duty_ratio,
     hyperperiod,
     load_sort_key,
     mean_power,
@@ -62,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdjustmentRequest",
     "AssignmentMultiFreq",
-    "AssignmentSameFreq",
     "EmptyInputError",
     "Group",
     "GroupPlan",
@@ -90,7 +85,6 @@ __all__ = [
     "aggregate_profile",
     "backfill",
     "check_groupability",
-    "duty_ratio",
     "enforce_limit",
     "hyperperiod",
     "load_sort_key",

@@ -64,33 +64,29 @@ def adjust_waveform(spec: PulseSpec, req: AdjustmentRequest) -> PulseSpec:
     return replace(spec, on_width=width.numerator, amplitude=amplitude, voltage=new_voltage)
 
 
-def _check_over_limit(p_max, p_sum) -> tuple[Fraction, Fraction]:
+def _derating_ratio(specs: list[PulseSpec], p_max, p_sum) -> Fraction:
+    """cap/total, once the total is over a positive cap and every load has a voltage."""
     p_max = as_fraction(p_max)
     p_sum = as_fraction(p_sum)
     if p_max <= 0:
         raise ValueError(f"power cap {p_max} must be positive")
     if p_sum <= p_max:
         raise NotOverLimitError(f"total power {p_sum} W does not exceed the cap {p_max} W")
-    return p_max, p_sum
+    for s in specs:
+        if s.voltage is None:
+            raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
+    return p_max / p_sum
 
 
 def scale_amplitudes_to_limit(specs: list[PulseSpec], p_max, p_sum) -> list[PulseSpec]:
     """Multiply every amplitude by cap/total; duties, phases, periods unchanged."""
-    p_max, p_sum = _check_over_limit(p_max, p_sum)
-    for s in specs:
-        if s.voltage is None:
-            raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
-    ratio = p_max / p_sum
+    ratio = _derating_ratio(specs, p_max, p_sum)
     return [replace(s, amplitude=s.amplitude * ratio) for s in specs]
 
 
 def scale_duties_to_limit(specs: list[PulseSpec], p_max, p_sum) -> list[PulseSpec]:
     """Multiply every duty by cap/total; fails if any on-width leaves the tick grid."""
-    p_max, p_sum = _check_over_limit(p_max, p_sum)
-    for s in specs:
-        if s.voltage is None:
-            raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
-    ratio = p_max / p_sum
+    ratio = _derating_ratio(specs, p_max, p_sum)
     out = []
     for s in specs:
         width = ratio * s.on_width

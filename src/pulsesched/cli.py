@@ -1,7 +1,8 @@
 """Batch front-end: simulate, schedule, or power-plan a scenario file.
 
 Exit codes: 0 success, 2 scenario validation failure, 3 infeasible
-schedule/plan, 4 missing soc/voltage fields in plan-power.
+schedule/plan (including a duty de-rating whose scaled on-widths fall off
+the tick grid), 4 missing soc/voltage fields in plan-power.
 """
 from __future__ import annotations
 
@@ -15,11 +16,12 @@ from .errors import (
     MissingSocError,
     MissingVoltageError,
     NoAdmissibleError,
+    NonRepresentableDutyError,
     ScenarioError,
 )
 from .files import Scenario, amount_str, load_scenario, write_text_atomic
 from .grouping import GroupPlan, schedule_fleet
-from .power import enforce_limit, prioritize_and_admit
+from .power import MODES, enforce_limit, prioritize_and_admit
 from .ticks import seconds_str
 from .waveform import Metrics, PulseSpec, aggregate_profile, profile_metrics
 
@@ -176,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser("plan-power", help="admit loads under the power cap by SOC")
     common(p_plan)
-    p_plan.add_argument("--mode", choices=("amplitude", "duty"), help="enable de-rating")
+    p_plan.add_argument("--mode", choices=MODES, help="enable de-rating")
     p_plan.set_defaults(func=cmd_plan_power)
     return parser
 
@@ -188,7 +190,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InfeasibleError, NoAdmissibleError) as exc:
+    except (InfeasibleError, NoAdmissibleError, NonRepresentableDutyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (MissingSocError, MissingVoltageError) as exc:

@@ -34,7 +34,7 @@ class MissingSocError(PulseSchedError):
 
 
 class MixedFrequencyError(PulseSchedError):
-    """The same-frequency solver received loads with differing periods."""
+    """A same-period entry point of the solver received loads with differing periods."""
 
 
 class NotOverLimitError(PulseSchedError):

@@ -19,10 +19,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import NonRepresentableTimeError, ScenarioError
+from .power import MODES
 from .ticks import TICKS_PER_SECOND, seconds_str, ticks_from_seconds
 from .waveform import Metrics, PulseSpec, StepProfile, load_sort_key
-
-_MODES = ("amplitude", "duty")
 
 
 @dataclass
@@ -187,8 +186,8 @@ def load_scenario(path: str | Path) -> Scenario:
         scenario.p_max_w = p_max
         mode = power.get("mode")
         if mode is not None:
-            if mode not in _MODES:
-                raise ScenarioError(f"{where}.mode: must be one of {_MODES}")
+            if mode not in MODES:
+                raise ScenarioError(f"{where}.mode: must be one of {MODES}")
             scenario.power_mode = mode
     sim = doc.get("sim")
     if sim is not None:

@@ -2,21 +2,24 @@
 
 Groups are formed greedily: the highest-frequency unassigned load anchors a
 group and pulls in every unassigned load whose period is an integer multiple
-of the anchor's (equivalently, whose frequency divides the anchor's). Groups
-with one period are solved by the same-frequency model, mixed groups by the
-hyperperiod model; singletons pass through untouched.
+of the anchor's (equivalently, whose frequency divides the anchor's). Every
+group of two or more loads is solved by the hyperperiod model, through its
+same-period entry points when the group has one period; singletons pass
+through untouched.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Union
 
 from .errors import EmptyInputError, InfeasibleError, InvalidAssignmentError
-from .multifreq import AssignmentMultiFreq, realize_phases_multifreq, solve_multifreq
-from .samefreq import AssignmentSameFreq, realize_phases_samefreq, solve_samefreq
+from .multifreq import (
+    AssignmentMultiFreq,
+    realize_phases_multifreq,
+    realize_phases_samefreq,
+    solve_multifreq,
+    solve_samefreq,
+)
 from .waveform import LoadId, PulseSpec, load_sort_key
-
-Assignment = Union[AssignmentSameFreq, AssignmentMultiFreq]
 
 
 @dataclass(frozen=True)
@@ -26,7 +29,7 @@ class Group:
     index: int
     anchor_id: LoadId
     member_ids: tuple[LoadId, ...]
-    assignment: Assignment | None = None
+    assignment: AssignmentMultiFreq | None = None
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,7 @@ def schedule_fleet(
             continue
         try:
             if len({m.period for m in members}) == 1:
-                assignment: Assignment = solve_samefreq(members)
+                assignment = solve_samefreq(members)
                 placed = realize_phases_samefreq(members, assignment)
             else:
                 assignment = solve_multifreq(members)

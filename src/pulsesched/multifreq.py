@@ -1,219 +1,286 @@
-"""Grouping of mixed-period pulse trains over their hyperperiod.
+"""Grouping of pulse trains with nested periods over their hyperperiod.
 
-A load can host another iff the slower period is an integer multiple of the
-faster one and the item's pulse fits the bin's off-interval. Within one
+Each load is either bin-type (keeps its phase; its off-intervals host other
+pulses) or item-type (its pulses are shifted into a bin's off-intervals). A
+load can host another iff the item's period is an integer multiple of the
+bin's and the item's pulse fits the bin's off-interval. Within one
 hyperperiod a bin has one off-interval ("slot") per own period, indexed
 k = 1..N from its first falling edge; an item with period ratio R occupies
-exactly one slot out of every R consecutive ones, cyclically, so its
-feasible slot sets are precisely the arithmetic progressions k0, k0+R, ...
-with k0 in [1, R]. Capacity applies per slot: the widths of items sharing a
-slot must fit the bin's off-width.
+exactly one slot out of every R consecutive ones, cyclically, so its slot
+set is the progression c, c+R, ... for one slot class c in [1, R]. Capacity
+applies per slot: the widths of items sharing a slot must fit the bin's
+off-width. Loads that share one period are the case R = 1: each bin has one
+slot, and its off-interval holds a set of items iff their widths fit.
 
-The solver minimizes the number of bin-type loads with the same determinism
-rules as the same-frequency case, then picks the smallest slot indices among
-the optima.
+The solver minimizes the number of bin-type loads. It enumerates bin
+subsets in ascending size from the admissible lower bound ceil(sum of
+duties), in an order that makes the first feasible subset the
+lexicographically smallest bin-flag vector; per subset a host check comes
+first, first-fit-decreasing is the quick accept and a complete backtracking
+search the exact fallback. Among the optima it then picks the smallest bin
+per item in input order, then the smallest slot class per item.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from .errors import EmptyInputError, InvalidAssignmentError
-from .samefreq import Violation
+from .errors import EmptyInputError, InvalidAssignmentError, MixedFrequencyError
 from .waveform import PulseSpec, aggregate_profile, hyperperiod, load_sort_key
 
 
 @dataclass(frozen=True)
-class AssignmentMultiFreq:
-    """Solver output over one hyperperiod.
+class Violation:
+    """One failed constraint: its semantic kind plus the load indices involved."""
 
-    Positions index the solver's input list. `slot_map` lists each item's
-    occupied off-interval indices of its bin (1-based, strictly increasing);
-    `ratios` holds the item-period over bin-period ratio; `off_counts` the
-    per-load number of own off-intervals in the hyperperiod.
+    kind: str               # "assignment" | "slot-capacity"
+    indices: tuple[int, ...]
+    message: str
+
+
+@dataclass(frozen=True)
+class AssignmentMultiFreq:
+    """Solver output: bin flags plus each item's hosting bin and slot class.
+
+    Positions index the solver's input list. An item with period ratio R to
+    its bin occupies the bin's off-intervals c, c+R, ... over the
+    hyperperiod, where c = slot_class[item] lies in 1..R.
     """
 
     bin_flags: tuple[int, ...]
     bin_of_item: dict[int, int]
-    slot_map: dict[int, tuple[int, ...]]
-    ratios: dict[int, int]
-    off_counts: tuple[int, ...]
-    bins_used: int
+    slot_class: dict[int, int]
+
+    @property
+    def bins_used(self) -> int:
+        return sum(self.bin_flags)
+
+    def ratios(self, specs: list[PulseSpec]) -> dict[int, int]:
+        """Each item's period over its bin's period."""
+        return {j: specs[j].period // specs[b].period for j, b in self.bin_of_item.items()}
+
+    def off_counts(self, specs: list[PulseSpec]) -> tuple[int, ...]:
+        """Each load's number of own off-intervals in the hyperperiod."""
+        t_lcm = hyperperiod(specs)
+        return tuple(t_lcm // s.period for s in specs)
+
+    def slot_map(self, specs: list[PulseSpec]) -> dict[int, tuple[int, ...]]:
+        """Each item's occupied off-interval indices of its bin (1-based, increasing)."""
+        counts, ratios, items = self.off_counts(specs), self.ratios(specs), self.bin_of_item.items()
+        return {j: tuple(range(self.slot_class[j], counts[b] + 1, ratios[j])) for j, b in items}
 
 
 def check_groupability(bin_spec: PulseSpec, item_spec: PulseSpec) -> bool:
     """True iff the item's period is an integer multiple of the bin's and fits."""
-    if item_spec.period % bin_spec.period != 0:
-        return False
-    return item_spec.on_width <= bin_spec.off_width
+    return item_spec.period % bin_spec.period == 0 and item_spec.on_width <= bin_spec.off_width
 
 
-class _SlotState:
-    """Per-bin slot load tracking for the packing searches."""
+class _Packer:
+    """Free slot capacities of one group and the exact packing test.
 
-    def __init__(self, specs: list[PulseSpec], bins: list[int], t_lcm: int):
-        self.caps = {b: specs[b].off_width for b in bins}
-        self.counts = {b: t_lcm // specs[b].period for b in bins}
-        self.loads = {b: [0] * self.counts[b] for b in bins}
-
-    def fits(self, b: int, cls: int, step: int, width: int) -> bool:
-        cap = self.caps[b]
-        loads = self.loads[b]
-        return all(loads[k] + width <= cap for k in range(cls - 1, self.counts[b], step))
-
-    def add(self, b: int, cls: int, step: int, width: int) -> None:
-        loads = self.loads[b]
-        for k in range(cls - 1, self.counts[b], step):
-            loads[k] += width
-
-    def remove(self, b: int, cls: int, step: int, width: int) -> None:
-        loads = self.loads[b]
-        for k in range(cls - 1, self.counts[b], step):
-            loads[k] -= width
-
-
-def _search(
-    specs: list[PulseSpec],
-    order: list[int],
-    bin_choices: dict[int, list[int]],
-    class_choices: dict[int, int | None],
-    state: _SlotState,
-    found: dict[int, tuple[int, int]] | None = None,
-) -> dict[int, tuple[int, int]] | None:
-    """Backtracking search assigning (bin, slot class) to every item in `order`.
-
-    `class_choices[j]` pins an item's class; None leaves it free. Returns the
-    chosen (bin, class) per item or None when no completion exists.
+    The slots of all loads share one flat list: load i owns the entries from
+    base[i] to base[i + 1]. A load that is not a bin of the current subset
+    has zero free capacity, so no item fits it. An option is one host of an
+    item: (bin, its first slot, its end, the slots of each class).
     """
-    if found is None:
-        found = {}
-    if not order:
-        return found
-    j, rest = order[0], order[1:]
-    width = specs[j].on_width
-    for b in bin_choices[j]:
-        ratio = specs[j].period // specs[b].period
-        classes = [class_choices[j]] if class_choices[j] is not None else range(1, ratio + 1)
-        for cls in classes:
-            if cls > ratio or not state.fits(b, cls, ratio, width):
+
+    def __init__(self, specs: list[PulseSpec]):
+        t_lcm = hyperperiod(specs)
+        counts = [t_lcm // s.period for s in specs]
+        self.base = base = list(accumulate(counts, initial=0))
+        self.full = [s.off_width for s, c in zip(specs, counts) for _ in range(c)]
+        # per item: (width, options by bin, options widest off-interval first)
+        self.entries = []
+        for j, item in enumerate(specs):
+            options = [
+                (b, base[b], base[b + 1], [range(base[b] + c, base[b + 1], r) for c in range(r)])
+                for b, host in enumerate(specs)
+                if b != j and check_groupability(host, item)
+                for r in (item.period // host.period,)
+            ]
+            widest = sorted(options, key=lambda o: (-specs[o[0]].off_width, o[0]))
+            self.entries.append((item.on_width, options, widest))
+        self.host_masks = [sum(1 << o[0] for o in entry[1]) for entry in self.entries]
+        self.by_width = sorted(range(len(specs)), key=lambda j: (-specs[j].on_width, j))
+        # the bins' free capacity covers the items' work (width times pulse
+        # count) iff the total work fits count hyperperiods, and a placement
+        # uses exactly its work: from this bound on, no subset or search node
+        # needs a total-work check
+        work = sum(s.on_width * c for s, c in zip(specs, counts))
+        self.lower = max(1, -(-work // t_lcm))
+
+    def free_for(self, items: tuple[int, ...]) -> list[int] | None:
+        """Free capacities with `items` as the non-bins; None if one has no host."""
+        mask = sum(1 << j for j in items)
+        for j in items:
+            if not self.host_masks[j] & ~mask:
+                return None
+        free = self.full[:]
+        base = self.base
+        for j in items:
+            free[base[j] : base[j + 1]] = [0] * (base[j + 1] - base[j])
+        return free
+
+    def packs(self, free: list[int], pending: dict[int, tuple], pinned: dict[int, tuple]) -> bool:
+        """Whether every pending item can be placed into `free`, which is left as it was.
+
+        `pending` maps each item to its (width, options, first-fit options);
+        a pinned item has its bin's option only, and that bin is never
+        treated as interchangeable with another.
+        """
+        todo = [pending[j] for j in self.by_width if j in pending]
+        pinned_bins = frozenset(option[0] for option in pinned.values())
+        return _first_fit(free[:], todo) or _search(free, todo, 0, pinned_bins)
+
+    def lex_min(self, items: tuple[int, ...], free: list[int]) -> tuple[dict, dict]:
+        """Smallest bin per item in input order, then smallest slot class.
+
+        Each choice is kept only if the remaining items still pack. An item
+        whose bin leaves it a single slot class has its load committed at
+        once; the others stay pinned to their bin until the class pass.
+        """
+        pending = {j: self.entries[j] for j in items}
+        pinned: dict[int, tuple] = {}
+        bin_of: dict[int, int] = {}
+        slot_class: dict[int, int] = {}
+        for j in items:
+            w = pending.pop(j)[0]
+            for option in self.entries[j][1]:
+                b, _, _, classes = option
+                if len(classes) == 1:
+                    if self._commit(free, classes[0], w, pending, pinned):
+                        slot_class[j] = 1
+                        break
+                else:
+                    pending[j] = (w, [option], [option])
+                    pinned[j] = option
+                    if self.packs(free, pending, pinned):
+                        break
+                    del pending[j], pinned[j]
+            else:
+                raise AssertionError("unreachable: subset was verified packable")
+            bin_of[j] = b
+        for j, (_, _, _, classes) in list(pinned.items()):
+            w = pending.pop(j)[0]
+            del pinned[j]
+            for c, slots in enumerate(classes, 1):
+                if self._commit(free, slots, w, pending, pinned):
+                    slot_class[j] = c
+                    break
+            else:
+                raise AssertionError("unreachable: placement was verified packable")
+        return bin_of, {j: slot_class[j] for j in items}
+
+    def _commit(self, free: list[int], slots: range, w: int, pending: dict, pinned: dict) -> bool:
+        """Take w from every slot in `slots` if it fits and the pending items still pack."""
+        if any(free[k] < w for k in slots):
+            return False
+        for k in slots:
+            free[k] -= w
+        if self.packs(free, pending, pinned):
+            return True
+        for k in slots:
+            free[k] += w
+        return False
+
+
+def _first_fit(free: list[int], todo: list) -> bool:
+    """First fit in decreasing width; success proves packability, failure proves nothing."""
+    for w, _, options in todo:
+        for _, first, stop, classes in options:
+            if stop - first == 1:
+                if free[first] >= w:
+                    free[first] -= w
+                    break
                 continue
-            state.add(b, cls, ratio, width)
-            found[j] = (b, cls)
-            if _search(specs, rest, bin_choices, class_choices, state, found) is not None:
-                return found
-            del found[j]
-            state.remove(b, cls, ratio, width)
-    return None
+            for slots in classes:
+                if all(free[k] >= w for k in slots):
+                    for k in slots:
+                        free[k] -= w
+                    break
+            else:
+                continue
+            break
+        else:
+            return False
+    return True
+
+
+def _search(free: list[int], todo: list, pos: int, pinned_bins: frozenset) -> bool:
+    """Complete backtracking over (bin, slot class) for todo[pos:].
+
+    Bins with equal free-slot vectors (and so equal periods) are
+    interchangeable unless an item is pinned to one of them, so only the
+    first of them is tried at each node. Single-slot bins host only items
+    of ratio 1, which are never pinned.
+    """
+    if pos == len(todo):
+        return True
+    w, options, _ = todo[pos]
+    tried = set()
+    for b, first, stop, classes in options:
+        if stop - first == 1:  # a single slot: its free capacity is the key
+            cap = free[first]
+            if cap < w or cap in tried:
+                continue
+            tried.add(cap)
+            free[first] = cap - w
+            done = _search(free, todo, pos + 1, pinned_bins)
+            free[first] = cap
+            if done:
+                return True
+            continue
+        if b not in pinned_bins:
+            key = tuple(free[first:stop])
+            if key in tried:
+                continue
+            tried.add(key)
+        for slots in classes:
+            if any(free[k] < w for k in slots):
+                continue
+            for k in slots:
+                free[k] -= w
+            done = _search(free, todo, pos + 1, pinned_bins)
+            for k in slots:
+                free[k] += w
+            if done:
+                return True
+    return False
 
 
 def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
-    """Minimize bin-type loads subject to per-slot capacity over the hyperperiod."""
+    """Minimize bin-type loads subject to per-slot capacity over the hyperperiod.
+
+    Deterministic: among optimal solutions, the bin-flag vector is
+    lexicographically smallest over the input order, then the item->bin
+    vector, then the item->slot-class vector.
+    """
     if not specs:
         raise EmptyInputError("nothing to schedule")
     n = len(specs)
-    t_lcm = hyperperiod(specs)
-    off_counts = tuple(t_lcm // s.period for s in specs)
-    compat = {
-        j: [i for i in range(n) if i != j and check_groupability(specs[i], specs[j])]
-        for j in range(n)
-    }
-    total_duty = sum((s.duty for s in specs), Fraction(0))
-    lower = -(-total_duty.numerator // total_duty.denominator)
-
-    for count in range(max(1, lower), n + 1):
+    packer = _Packer(specs)
+    for count in range(packer.lower, n + 1):
+        # item-position combinations in lexicographic order enumerate the
+        # bin-flag vectors in lexicographic order for this bin count
         for items in combinations(range(n), n - count):
-            bin_set = set(range(n)) - set(items)
-            choices = {j: [b for b in compat[j] if b in bin_set] for j in items}
-            if any(not choices[j] for j in items):
+            free = packer.free_for(items)
+            if free is None:
                 continue
-            order = sorted(items, key=lambda j: (-specs[j].on_width, j))
-            state = _SlotState(specs, sorted(bin_set), t_lcm)
-            free = {j: None for j in items}
-            if _search(specs, order, choices, free, state) is None:
+            if not packer.packs(free, {j: packer.entries[j] for j in items}, {}):
                 continue
-            placement = _lex_min_bins(specs, list(items), choices, sorted(bin_set), t_lcm)
-            classes = _lex_min_classes(specs, list(items), placement, sorted(bin_set), t_lcm)
-            slot_map = {}
-            ratios = {}
-            for j in items:
-                b = placement[j]
-                ratio = specs[j].period // specs[b].period
-                ratios[j] = ratio
-                n_bin = t_lcm // specs[b].period
-                slot_map[j] = tuple(range(classes[j], n_bin + 1, ratio))
-            flags = tuple(0 if i in set(items) else 1 for i in range(n))
-            return AssignmentMultiFreq(
-                bin_flags=flags,
-                bin_of_item=placement,
-                slot_map=slot_map,
-                ratios=ratios,
-                off_counts=off_counts,
-                bins_used=count,
-            )
+            bin_of, slot_class = packer.lex_min(items, free)
+            flags = tuple(0 if i in bin_of else 1 for i in range(n))
+            return AssignmentMultiFreq(bin_flags=flags, bin_of_item=bin_of, slot_class=slot_class)
     raise AssertionError("unreachable: the all-bins assignment is always feasible")
 
 
-def _lex_min_bins(
-    specs: list[PulseSpec],
-    items: list[int],
-    choices: dict[int, list[int]],
-    bins: list[int],
-    t_lcm: int,
-) -> dict[int, int]:
-    """Smallest bin index per item in input order, keeping the rest completable."""
-    fixed: dict[int, int] = {}
-    for pos, j in enumerate(items):
-        rest = items[pos + 1 :]
-        for b in choices[j]:
-            trial = {**{k: [fixed[k]] for k in fixed}, j: [b], **{k: choices[k] for k in rest}}
-            order = sorted(items, key=lambda k: (-specs[k].on_width, k))
-            state = _SlotState(specs, bins, t_lcm)
-            if _search(specs, order, trial, {k: None for k in items}, state) is not None:
-                fixed[j] = b
-                break
-        else:
-            raise AssertionError("unreachable: subset was verified packable")
-    return fixed
-
-
-def _lex_min_classes(
-    specs: list[PulseSpec],
-    items: list[int],
-    placement: dict[int, int],
-    bins: list[int],
-    t_lcm: int,
-) -> dict[int, int]:
-    """Smallest slot class per item in input order, keeping the rest completable."""
-    bin_choice = {j: [placement[j]] for j in items}
-    fixed: dict[int, int] = {}
-    for j in items:
-        ratio = specs[j].period // specs[placement[j]].period
-        for cls in range(1, ratio + 1):
-            trial = {**fixed, j: cls, **{k: None for k in items if k not in fixed and k != j}}
-            order = sorted(items, key=lambda k: (-specs[k].on_width, k))
-            state = _SlotState(specs, bins, t_lcm)
-            if _search(specs, order, bin_choice, trial, state) is not None:
-                fixed[j] = cls
-                break
-        else:
-            raise AssertionError("unreachable: placement was verified packable")
-    return fixed
-
-
 def verify_multifreq(specs: list[PulseSpec], assignment: AssignmentMultiFreq) -> list[Violation]:
-    """Empty iff slot capacities, slot windows, and single assignment all hold."""
+    """Empty iff every item sits in one slot class of a hosting bin and no slot overflows."""
     violations: list[Violation] = []
     n = len(specs)
     flags = assignment.bin_flags
     if len(flags) != n or any(f not in (0, 1) for f in flags):
         return [Violation("assignment", (), f"bin flags must be {n} zero/one entries")]
-    t_lcm = hyperperiod(specs)
-    expected_counts = tuple(t_lcm // s.period for s in specs)
-    if assignment.off_counts != expected_counts:
-        violations.append(Violation("assignment", (), "off_counts do not match the hyperperiod"))
-    if assignment.bins_used != sum(flags):
-        violations.append(Violation("assignment", (), "bins_used does not equal the number of set flags"))
 
     placement = assignment.bin_of_item
     for j in range(n):
@@ -222,7 +289,8 @@ def verify_multifreq(specs: list[PulseSpec], assignment: AssignmentMultiFreq) ->
         if flags[j] == 0 and j not in placement:
             violations.append(Violation("assignment", (j,), f"item at position {j} has no hosting bin"))
 
-    slot_items: dict[int, dict[int, list[int]]] = {}
+    t_lcm = hyperperiod(specs)
+    slot_items: dict[tuple[int, int], list[int]] = {}
     for j, b in sorted(placement.items()):
         if not 0 <= j < n or not isinstance(b, int) or not 0 <= b < n or flags[b] != 1:
             violations.append(Violation("assignment", (j,), f"placement {j}->{b} does not name a bin"))
@@ -233,40 +301,25 @@ def verify_multifreq(specs: list[PulseSpec], assignment: AssignmentMultiFreq) ->
             )
             continue
         ratio = specs[j].period // specs[b].period
-        if assignment.ratios.get(j) != ratio:
-            violations.append(Violation("assignment", (b, j), f"stored ratio for item {j} is wrong"))
-        n_bin = t_lcm // specs[b].period
-        slots = assignment.slot_map.get(j, ())
-        if any(not 1 <= k <= n_bin for k in slots):
-            violations.append(Violation("assignment", (b, j), f"slots of item {j} fall outside 1..{n_bin}"))
+        cls = assignment.slot_class.get(j)
+        if not isinstance(cls, int) or not 1 <= cls <= ratio:
+            violations.append(
+                Violation("assignment", (b, j), f"slot class of item {j} must lie in 1..{ratio}")
+            )
             continue
-        occupied = set(slots)
-        for start in range(1, n_bin + 1):
-            window = sum(1 for t in range(1, ratio + 1) if ((start + t - 1) % n_bin) + 1 in occupied)
-            if window != 1:
-                violations.append(
-                    Violation(
-                        "slot-window",
-                        (b, j, start),
-                        f"item {j} occupies {window} slots in the {ratio}-slot window after {start}",
-                    )
-                )
-        slot_items.setdefault(b, {})
-        for k in occupied:
-            slot_items[b].setdefault(k, []).append(j)
+        for k in range(cls, t_lcm // specs[b].period + 1, ratio):
+            slot_items.setdefault((b, k), []).append(j)
 
-    for b in sorted(slot_items):
-        for k in sorted(slot_items[b]):
-            js = slot_items[b][k]
-            load = sum(specs[j].on_width for j in js)
-            if load > specs[b].off_width:
-                violations.append(
-                    Violation(
-                        "slot-capacity",
-                        (b, k, *sorted(js)),
-                        f"slot {k} of bin {b} holds {load} ticks but offers {specs[b].off_width}",
-                    )
+    for (b, k), js in sorted(slot_items.items()):
+        load = sum(specs[j].on_width for j in js)
+        if load > specs[b].off_width:
+            violations.append(
+                Violation(
+                    "slot-capacity",
+                    (b, k, *sorted(js)),
+                    f"slot {k} of bin {b} holds {load} ticks but offers {specs[b].off_width}",
                 )
+            )
     return violations
 
 
@@ -275,10 +328,12 @@ def realize_phases_multifreq(
 ) -> list[PulseSpec]:
     """Anchor each item behind its bin's falling edge in its first occupied slot.
 
-    Items landing in the same first slot stack back to back in order of
-    descending on-width (ties by ascending id). The whole realized group is
-    then swept over the hyperperiod; any residual overlap (possible for mixed
-    ratios whose shared slots differ from their first slots) is rejected.
+    Bin-type loads keep their input phases. Items landing in the same first
+    slot stack back to back in order of descending on-width (ties by
+    ascending id). Items of one period ratio share all their slots or none,
+    so a bin whose items have one ratio is overlap-free by construction. A bin
+    mixing ratios is swept over the hyperperiod and any residual overlap
+    (possible where shared slots differ from first slots) is rejected.
     """
     problems = verify_multifreq(specs, assignment)
     if problems:
@@ -291,18 +346,43 @@ def realize_phases_multifreq(
     for b, js in sorted(hosted.items()):
         js.sort(key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)))
         bin_spec = specs[b]
-        placed: list[tuple[int, set[int]]] = []
+        placed: list[tuple[int, int, int]] = []  # (ratio, class, width) per stacked item
         for j in js:
-            first = assignment.slot_map[j][0]
-            offset = sum(specs[p].on_width for p, slots in placed if first in slots)
-            phase = bin_spec.phase + bin_spec.on_width + (first - 1) * bin_spec.period + offset
+            ratio = specs[j].period // bin_spec.period
+            cls = assignment.slot_class[j]
+            offset = sum(w for r, c, w in placed if (cls - c) % r == 0)
+            phase = bin_spec.phase + bin_spec.on_width + (cls - 1) * bin_spec.period + offset
             out[j] = replace(specs[j], phase=phase % specs[j].period)
-            placed.append((j, set(assignment.slot_map[j])))
+            placed.append((ratio, cls, specs[j].on_width))
 
-        group = [replace(out[i], amplitude=1) for i in (b, *js)]
-        worst = max(aggregate_profile(group).levels)
-        if worst > 1:
-            raise InvalidAssignmentError(
-                f"realized phases for bin {b} overlap (group level reaches {worst})"
-            )
+        if len({r for r, _, _ in placed}) > 1:
+            group = [replace(out[i], amplitude=1) for i in (b, *js)]
+            worst = max(aggregate_profile(group).levels)
+            if worst > 1:
+                raise InvalidAssignmentError(
+                    f"realized phases for bin {b} overlap (group level reaches {worst})"
+                )
     return out
+
+
+def _one_period(specs: list[PulseSpec]) -> list[PulseSpec]:
+    if len({s.period for s in specs}) > 1:
+        raise MixedFrequencyError("loads must share one period")
+    return specs
+
+
+def solve_samefreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
+    """solve_multifreq for loads that share one period."""
+    return solve_multifreq(_one_period(specs))
+
+
+def verify_samefreq(specs: list[PulseSpec], assignment: AssignmentMultiFreq) -> list[Violation]:
+    """verify_multifreq for loads that share one period."""
+    return verify_multifreq(_one_period(specs), assignment)
+
+
+def realize_phases_samefreq(
+    specs: list[PulseSpec], assignment: AssignmentMultiFreq
+) -> list[PulseSpec]:
+    """realize_phases_multifreq for loads that share one period."""
+    return realize_phases_multifreq(_one_period(specs), assignment)

@@ -169,11 +169,6 @@ class Metrics:
     mean_a: Fraction
 
 
-def duty_ratio(spec: PulseSpec) -> Fraction:
-    """Fraction of the period during which the pulse is on."""
-    return spec.duty
-
-
 def mean_power(spec: PulseSpec) -> Fraction:
     """Mean charging power over one period: duty × voltage × current."""
     if spec.voltage is None:

@@ -115,6 +115,72 @@ def oracle_min_bins_multifreq(specs: list[PulseSpec]) -> int:
     return best
 
 
+def _classes_fit(specs: list[PulseSpec], bin_of: dict[int, int], t_lcm: int) -> bool:
+    """Whether the mapped items can each take one slot class without overfilling a slot."""
+    items = sorted(bin_of)
+    loads = {b: [0] * (t_lcm // specs[b].period) for b in bin_of.values()}
+
+    def assign(pos: int) -> bool:
+        if pos == len(items):
+            return True
+        j = items[pos]
+        b = bin_of[j]
+        w = specs[j].on_width
+        ratio = specs[j].period // specs[b].period
+        slots = loads[b]
+        for cls in range(ratio):
+            hit = range(cls, len(slots), ratio)
+            if all(slots[k] + w <= specs[b].off_width for k in hit):
+                for k in hit:
+                    slots[k] += w
+                ok = assign(pos + 1)
+                for k in hit:
+                    slots[k] -= w
+                if ok:
+                    return True
+        return False
+
+    return assign(0)
+
+
+def oracle_lex_min_bins(specs: list[PulseSpec]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """Smallest optimal bin-flag vector, then smallest item->bin vector.
+
+    The flags are the minimum over every feasible subset of the minimum
+    size; the item->bin vector is the first complete mapping, in input
+    order with bins ascending, for which slot classes exist.
+    """
+    n = len(specs)
+    t_lcm = math.lcm(*(s.period for s in specs))
+    for size in range(1, n + 1):
+        vectors = [
+            tuple(1 if i in bins else 0 for i in range(n))
+            for bins in combinations(range(n), size)
+            if multifreq_subset_feasible(specs, bins, t_lcm)
+        ]
+        if vectors:
+            break
+    flags = min(vectors)
+    bins = [i for i in range(n) if flags[i]]
+    items = [i for i in range(n) if not flags[i]]
+    bin_of: dict[int, int] = {}
+
+    def choose(pos: int) -> bool:
+        if pos == len(items):
+            return True
+        j = items[pos]
+        for b in bins:
+            if specs[j].period % specs[b].period == 0:
+                bin_of[j] = b
+                if _classes_fit(specs, bin_of, t_lcm) and choose(pos + 1):
+                    return True
+                del bin_of[j]
+        return False
+
+    assert choose(0)
+    return flags, bin_of
+
+
 def random_samefreq_fleet(rng, n: int, period: int = 60) -> list[PulseSpec]:
     return [
         PulseSpec(

@@ -150,6 +150,20 @@ class TestPlanPower:
         derated = json.loads((tmp_path / "cap.derated.json").read_text())
         assert derated["loads"][0]["amplitude_a"] == "5/3"
 
+    def test_duty_mode_off_the_tick_grid_exits_3(self, tmp_path, capsys):
+        # 5/6 of a 250000-tick on-width is 625000/3 ticks, off the 1 us grid
+        sc = tmp_path / "offgrid.json"
+        sc.write_text(
+            '{"loads": ['
+            '{"id": 1, "amplitude_a": 2, "frequency_hz": 2, "duty_pct": 50, "voltage_v": 400, "soc_pct": 20},'
+            '{"id": 2, "amplitude_a": 2, "frequency_hz": 2, "duty_pct": 50, "voltage_v": 400, "soc_pct": 50},'
+            '{"id": 3, "amplitude_a": 2, "frequency_hz": 2, "duty_pct": 50, "voltage_v": 400, "soc_pct": 80}],'
+            ' "power": {"p_max_w": 1000}}'
+        )
+        assert run(["plan-power", sc, "--out", tmp_path, "--mode", "duty"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "offgrid.derated.json").exists()
+
     def test_cap_below_smallest_load_exits_3(self, tmp_path):
         sc = tmp_path / "tiny.json"
         sc.write_text(

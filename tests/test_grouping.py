@@ -13,7 +13,6 @@ from pulsesched import (
     partition_by_frequency,
     profile_metrics,
     schedule_fleet,
-    solve_samefreq,
 )
 
 SCENARIO2_FREQS = (8, 4, 5, 5, 1, 2, 4, 2, 8, 1)
@@ -91,7 +90,14 @@ class TestScheduleFleet:
         specs = [spec(i, 1000, width=w) for i, w in ((1, 500), (2, 500), (3, 300))]
         fleet, plan = schedule_fleet(specs)
         assert len(plan.groups) == 1
-        assert plan.groups[0].assignment == solve_samefreq(specs)
+        assignment = plan.groups[0].assignment
+        # load 1 sits in load 2's single off-interval, right behind its pulse
+        assert (assignment.bin_flags, assignment.bin_of_item, assignment.slot_class) == (
+            (0, 1, 1),
+            {0: 1},
+            {0: 1},
+        )
+        assert [s.phase for s in fleet] == [500, 0, 0]
 
     def test_scenario2_fleet_is_constant_fifty_amps(self):
         fleet, plan = schedule_fleet(scenario2_specs())

@@ -3,7 +3,14 @@ import random
 from itertools import product
 
 import pytest
-from helpers import oracle_min_bins_multifreq, random_multifreq_fleet
+from helpers import (
+    oracle_lex_min_bins,
+    oracle_min_bins_multifreq,
+    oracle_min_bins_samefreq,
+    random_multifreq_fleet,
+)
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pulsesched import (
     AssignmentMultiFreq,
@@ -70,9 +77,10 @@ class TestSolve:
         a = solve_multifreq(specs)
         assert a.bins_used == 1
         assert a.bin_flags == (1, 0, 0, 0)
-        assert a.slot_map[1] == (1,)
-        n_bin = a.off_counts[0]
-        horizon = [k for k in range(1, 5) if ((k - 1) % n_bin) + 1 in a.slot_map[1]]
+        assert a.slot_class == {1: 1, 2: 1, 3: 2}
+        assert a.slot_map(specs)[1] == (1,)
+        n_bin = a.off_counts(specs)[0]
+        horizon = [k for k in range(1, 5) if ((k - 1) % n_bin) + 1 in a.slot_map(specs)[1]]
         assert horizon == [1, 3]
         assert verify_multifreq(specs, a) == []
 
@@ -94,14 +102,24 @@ class TestSolve:
         a = solve_multifreq(specs)
         assert a.bins_used == 1
         assert a.bin_flags == (0, 1)
-        assert a.ratios[0] == 1
-        assert a.slot_map[0] == tuple(range(1, a.off_counts[1] + 1))
+        assert a.ratios(specs) == {0: 1}
+        assert a.slot_map(specs)[0] == tuple(range(1, a.off_counts(specs)[1] + 1))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             solve_multifreq([])
 
+    def test_bin_pinned_by_an_item_is_not_interchangeable(self):
+        # a and b look alike, but x is tried on a first: the wider y must then
+        # go to b, and the search may not skip b as a copy of a
+        specs = [spec("x", 20, 3), spec("y", 10, 4), spec("a", 10, 5), spec("b", 10, 5)]
+        a = solve_multifreq(specs)
+        assert a.bin_flags == (0, 0, 1, 1)
+        assert a.bin_of_item == {0: 2, 1: 3}
+        assert a.slot_class == {0: 1, 1: 1}
+
     def test_degenerates_to_samefreq_on_equal_periods(self):
+        # equal periods are the ratio-1 case: one slot per bin, class 1 for all
         rng = random.Random(211)
         for _ in range(25):
             n = rng.randrange(1, 7)
@@ -109,10 +127,10 @@ class TestSolve:
                 spec(i + 1, 60, rng.randrange(1, 61), phase=rng.randrange(60)) for i in range(n)
             ]
             multi = solve_multifreq(specs)
-            same = solve_samefreq(specs)
-            assert multi.bin_flags == same.bin_flags
-            assert multi.bins_used == same.bins_used
-            assert multi.bin_of_item == same.placement
+            assert multi == solve_samefreq(specs)
+            assert multi.bins_used == oracle_min_bins_samefreq(specs)
+            assert set(multi.ratios(specs).values()) <= {1}
+            assert multi.slot_map(specs) == {j: (1,) for j in multi.bin_of_item}
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(223)
@@ -171,7 +189,7 @@ class TestSolve:
                         best = key if best is None else min(best, key)
             got = (
                 tuple(a.bin_of_item[j] for j in items),
-                tuple(a.slot_map[j][0] for j in items),
+                tuple(a.slot_class[j] for j in items),
             )
             assert got == best
 
@@ -180,10 +198,11 @@ class TestSolve:
         for _ in range(15):
             specs = random_multifreq_fleet(rng, rng.randrange(2, 6))
             a = solve_multifreq(specs)
+            slot_map, off_counts, ratios = a.slot_map(specs), a.off_counts(specs), a.ratios(specs)
             for j, b in a.bin_of_item.items():
-                occupied = set(a.slot_map[j])
-                n_bin = a.off_counts[b]
-                ratio = a.ratios[j]
+                occupied = set(slot_map[j])
+                n_bin = off_counts[b]
+                ratio = ratios[j]
                 for n in range(1, n_bin + 1):
                     window = sum(
                         1 for t in range(1, ratio + 1) if ((n + t - 1) % n_bin) + 1 in occupied
@@ -198,14 +217,7 @@ class TestRealize:
             PulseSpec.from_seconds(1, 10, "0.25", "0.05"),
             PulseSpec.from_seconds(2, 10, "0.5", "0.1"),
         ]
-        a = AssignmentMultiFreq(
-            bin_flags=(1, 0),
-            bin_of_item={1: 0},
-            slot_map={1: (2,)},
-            ratios={1: 2},
-            off_counts=(2, 1),
-            bins_used=1,
-        )
+        a = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 2})
         realized = realize_phases_multifreq(specs, a)
         assert realized[1].phase == 300000
 
@@ -257,41 +269,44 @@ class TestRealize:
 
 
 class TestVerify:
-    def test_double_slot_in_one_window_flagged(self):
+    def test_slot_class_outside_ratio_flagged(self):
         specs = [spec(1, 1000, 100), spec(2, 2000, 200)]
-        bad = AssignmentMultiFreq(
-            bin_flags=(1, 0),
-            bin_of_item={1: 0},
-            slot_map={1: (1, 2)},
-            ratios={1: 2},
-            off_counts=(2, 1),
-            bins_used=1,
-        )
-        violations = verify_multifreq(specs, bad)
-        assert any(v.kind == "slot-window" for v in violations)
+        for cls in (0, 3, None):
+            bad = AssignmentMultiFreq(
+                bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={} if cls is None else {1: cls}
+            )
+            violations = verify_multifreq(specs, bad)
+            assert [(v.kind, v.indices) for v in violations] == [("assignment", (0, 1))]
 
     def test_overfilled_slot_flagged(self):
         specs = [spec(1, 1000, 600), spec(2, 1000, 500)]
-        bad = AssignmentMultiFreq(
-            bin_flags=(1, 0),
-            bin_of_item={1: 0},
-            slot_map={1: (1,)},
-            ratios={1: 1},
-            off_counts=(1, 1),
-            bins_used=1,
-        )
+        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 1})
         violations = verify_multifreq(specs, bad)
         assert any(v.kind == "slot-capacity" and v.indices[:2] == (0, 1) for v in violations)
 
     def test_unhosted_item_flagged(self):
         specs = [spec(1, 1000, 100), spec(2, 1000, 100)]
-        bad = AssignmentMultiFreq(
-            bin_flags=(1, 0),
-            bin_of_item={},
-            slot_map={},
-            ratios={},
-            off_counts=(1, 1),
-            bins_used=1,
-        )
+        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={}, slot_class={})
         violations = verify_multifreq(specs, bad)
         assert any(v.kind == "assignment" and v.indices == (1,) for v in violations)
+
+
+@st.composite
+def nested_fleets(draw):
+    """Up to 8 loads on one base period, at multiples from one nested set."""
+    base = draw(st.sampled_from((6, 12, 20)))
+    multiples = draw(st.sampled_from(((1,), (1, 2), (1, 2, 4), (1, 2, 3, 6))))
+    specs = []
+    for i in range(draw(st.integers(1, 8))):
+        period = base * draw(st.sampled_from(multiples))
+        specs.append(spec(i + 1, period, draw(st.integers(1, period)), amp=1))
+    return specs
+
+
+@seed(20260)
+@settings(max_examples=150, deadline=None, database=None)
+@given(nested_fleets())
+def test_solver_matches_brute_force_lex_min(specs):
+    a = solve_multifreq(specs)
+    assert (a.bin_flags, a.bin_of_item) == oracle_lex_min_bins(specs)
+    assert verify_multifreq(specs, a) == []

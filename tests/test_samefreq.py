@@ -1,4 +1,4 @@
-"""Same-frequency grouping model: exact solve, verification, realization."""
+"""Equal-period loads through the one solver: exact solve, verification, realization."""
 import random
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from helpers import (
 )
 
 from pulsesched import (
-    AssignmentSameFreq,
+    AssignmentMultiFreq,
     EmptyInputError,
     InvalidAssignmentError,
     MixedFrequencyError,
@@ -49,17 +49,24 @@ class TestSolve:
         assignment = solve_samefreq(specs)
         assert assignment.bins_used == 1 == oracle_min_bins_samefreq(specs)
         assert assignment.bin_flags == (0, 1)
-        assert assignment.placement == {0: 1}
+        assert assignment.bin_of_item == {0: 1}
+        assert assignment.slot_class == {0: 1}
 
     def test_single_load_is_its_own_bin(self):
         assignment = solve_samefreq([spec(1, 1000, 400)])
         assert assignment.bins_used == 1
         assert assignment.bin_flags == (1,)
-        assert assignment.placement == {}
+        assert assignment.bin_of_item == {}
 
     def test_mixed_periods_rejected(self):
+        specs = [spec(1, 1000, 400), spec(2, 2000, 400)]
         with pytest.raises(MixedFrequencyError):
-            solve_samefreq([spec(1, 1000, 400), spec(2, 2000, 400)])
+            solve_samefreq(specs)
+        assignment = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 1})
+        with pytest.raises(MixedFrequencyError):
+            verify_samefreq(specs, assignment)
+        with pytest.raises(MixedFrequencyError):
+            realize_phases_samefreq(specs, assignment)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -111,7 +118,7 @@ class TestSolve:
                     room[b] -= specs[j].on_width
                 if all(r >= 0 for r in room.values()):
                     best = mapping if best is None else min(best, mapping)
-            assert tuple(a.placement[j] for j in items) == best
+            assert tuple(a.bin_of_item[j] for j in items) == best
 
 
 class TestRealize:
@@ -129,7 +136,9 @@ class TestRealize:
             spec("w3", 1000000, 300000),
             spec("w2", 1000000, 200000),
         ]
-        assignment = AssignmentSameFreq(bin_flags=(1, 0, 0), placement={1: 0, 2: 0}, bins_used=1)
+        assignment = AssignmentMultiFreq(
+            bin_flags=(1, 0, 0), bin_of_item={1: 0, 2: 0}, slot_class={1: 1, 2: 1}
+        )
         realized = realize_phases_samefreq(specs, assignment)
         assert realized[1].phase == 300000
         assert realized[2].phase == 600000
@@ -149,7 +158,7 @@ class TestRealize:
 
     def test_capacity_violation_raises(self):
         specs = [spec(1, 1000, 600), spec(2, 1000, 500)]
-        bad = AssignmentSameFreq(bin_flags=(1, 0), placement={1: 0}, bins_used=1)
+        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 1})
         with pytest.raises(InvalidAssignmentError):
             realize_phases_samefreq(specs, bad)
 
@@ -160,7 +169,7 @@ class TestRealize:
             assignment = solve_samefreq(specs)
             realized = realize_phases_samefreq(specs, assignment)
             hosted: dict[int, list[int]] = {}
-            for j, b in assignment.placement.items():
+            for j, b in assignment.bin_of_item.items():
                 hosted.setdefault(b, []).append(j)
             for b, js in hosted.items():
                 group = [realized[i] for i in (b, *js)]
@@ -177,24 +186,27 @@ class TestVerify:
 
     def test_item_wider_than_bin_off_interval(self):
         specs = [spec(1, 1000, 600), spec(2, 1000, 500)]
-        bad = AssignmentSameFreq(bin_flags=(1, 0), placement={1: 0}, bins_used=1)
+        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 1})
         violations = verify_samefreq(specs, bad)
-        assert any(v.kind == "capacity" and v.indices == (0, 1) for v in violations)
+        # bin 0's single slot (1) holds item 1
+        assert any(v.kind == "slot-capacity" and v.indices == (0, 1, 1) for v in violations)
 
     def test_unplaced_item_flagged(self):
         specs = [spec(1, 1000, 500), spec(2, 1000, 400)]
-        bad = AssignmentSameFreq(bin_flags=(1, 0), placement={}, bins_used=1)
+        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={}, slot_class={})
         violations = verify_samefreq(specs, bad)
         assert any(v.kind == "assignment" and v.indices == (1,) for v in violations)
 
     def test_bin_placed_as_item_flagged(self):
         specs = [spec(1, 1000, 500), spec(2, 1000, 400)]
-        bad = AssignmentSameFreq(bin_flags=(1, 1), placement={1: 0}, bins_used=2)
+        bad = AssignmentMultiFreq(bin_flags=(1, 1), bin_of_item={1: 0}, slot_class={1: 1})
         violations = verify_samefreq(specs, bad)
         assert any(v.kind == "assignment" and v.indices == (1,) for v in violations)
 
     def test_item_hosted_by_non_bin_flagged(self):
         specs = [spec(1, 1000, 500), spec(2, 1000, 400), spec(3, 1000, 300)]
-        bad = AssignmentSameFreq(bin_flags=(1, 0, 0), placement={1: 2, 2: 0}, bins_used=1)
+        bad = AssignmentMultiFreq(
+            bin_flags=(1, 0, 0), bin_of_item={1: 2, 2: 0}, slot_class={1: 1, 2: 1}
+        )
         violations = verify_samefreq(specs, bad)
-        assert any(v.kind == "capacity" and v.indices == (2, 1) for v in violations)
+        assert any(v.kind == "assignment" and v.indices == (1,) for v in violations)

@@ -13,7 +13,6 @@ from pulsesched import (
     StepProfile,
     TickOverflowError,
     aggregate_profile,
-    duty_ratio,
     hyperperiod,
     mean_power,
     profile_metrics,
@@ -58,13 +57,13 @@ class TestPulseSpec:
 
 class TestDutyRatio:
     def test_half_period(self):
-        assert duty_ratio(PulseSpec.from_seconds(1, 10, "1", "0.5")) == Fraction(1, 2)
+        assert PulseSpec.from_seconds(1, 10, "1", "0.5").duty == Fraction(1, 2)
 
     def test_ninety_percent_duty(self):
-        assert duty_ratio(PulseSpec.from_seconds(10, 10, "1", "0.9")) == Fraction(9, 10)
+        assert PulseSpec.from_seconds(10, 10, "1", "0.9").duty == Fraction(9, 10)
 
     def test_always_on_limit(self):
-        assert duty_ratio(spec(1, 10, 777, 777)) == 1
+        assert spec(1, 10, 777, 777).duty == 1
 
 
 class TestMeanPower:
