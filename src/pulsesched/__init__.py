@@ -26,6 +26,7 @@ from .errors import (
     PulseSchedError,
     ScenarioError,
     TickOverflowError,
+    WorkBudgetError,
     ZeroDutyError,
 )
 from .grouping import Group, GroupPlan, partition_by_frequency, schedule_fleet
@@ -80,6 +81,7 @@ __all__ = [
     "TICKS_PER_SECOND",
     "TickOverflowError",
     "Violation",
+    "WorkBudgetError",
     "ZeroDutyError",
     "adjust_waveform",
     "aggregate_profile",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 scenario validation failure, 3 infeasible
 schedule/plan (including a duty de-rating whose scaled on-widths fall off
-the tick grid), 4 missing soc/voltage fields in plan-power.
+the tick grid, a hyperperiod beyond the tick range and a waveform sweep
+above its edge budget), 4 missing soc/voltage fields in plan-power.
 """
 from __future__ import annotations
 
@@ -18,6 +19,8 @@ from .errors import (
     NoAdmissibleError,
     NonRepresentableDutyError,
     ScenarioError,
+    TickOverflowError,
+    WorkBudgetError,
 )
 from .files import Scenario, amount_str, load_scenario, write_text_atomic
 from .grouping import GroupPlan, schedule_fleet
@@ -190,7 +193,13 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (InfeasibleError, NoAdmissibleError, NonRepresentableDutyError) as exc:
+    except (
+        InfeasibleError,
+        NoAdmissibleError,
+        NonRepresentableDutyError,
+        TickOverflowError,
+        WorkBudgetError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (MissingSocError, MissingVoltageError) as exc:

@@ -13,6 +13,10 @@ class TickOverflowError(PulseSchedError):
     """A derived time quantity (usually the hyperperiod) exceeds the tick range."""
 
 
+class WorkBudgetError(PulseSchedError):
+    """An operation would do more work than its declared budget allows."""
+
+
 class NonRepresentableTimeError(PulseSchedError):
     """A time quantity does not land exactly on the 1 µs tick grid."""
 

@@ -11,11 +11,13 @@ through a temp file and rename, and repeated runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import pairwise
 from pathlib import Path
 
 from .errors import NonRepresentableTimeError, ScenarioError
@@ -49,10 +51,16 @@ def amount_str(value: Fraction) -> str:
 def exact_str(value: Fraction) -> str:
     """Lossless form: a decimal string when one exists within 6 digits, else p/q."""
     value = Fraction(value)
-    scaled = value * TICKS_PER_SECOND
-    if scaled.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return seconds_str(scaled.numerator)
+    return _ratio_str(value.numerator, value.denominator)
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """exact_str of num/den (den > 0), computed on the integers."""
+    micros, rest = divmod(num * TICKS_PER_SECOND, den)
+    if rest:
+        g = math.gcd(num, den)
+        return f"{num // g}/{den // g}"
+    return seconds_str(micros)
 
 
 def _parse_exact(raw, where: str) -> Fraction:
@@ -279,9 +287,14 @@ def plan_json(plan) -> str:
 
 def waveform_csv(profile: StepProfile) -> str:
     """One row per breakpoint: time in seconds and the level starting there."""
+    den = profile.denominator
+    texts: dict[int, str] = {}  # each distinct level rendered once
     lines = ["t_s,i_total_a"]
-    for t, level in zip(profile.breakpoints, profile.levels):
-        lines.append(f"{seconds_str(t)},{exact_str(level)}")
+    for t, v in zip(profile.breakpoints, profile.scaled):
+        text = texts.get(v)
+        if text is None:
+            text = texts[v] = _ratio_str(v, den)
+        lines.append(f"{seconds_str(t)},{text}")
     return "\n".join(lines) + "\n"
 
 
@@ -291,27 +304,25 @@ def waveform_svg(profile: StepProfile, title: str) -> str:
     left, right, top, bottom = 60.0, 20.0, 30.0, 40.0
     span_x = width - left - right
     span_y = height - top - bottom
-    top_level = max(max(profile.levels), Fraction(1))
+    bps, scaled, den = profile.breakpoints, profile.scaled, profile.denominator
+    top_level = max(Fraction(max(scaled), den), Fraction(1))
     scale_x = span_x / profile.hyperperiod
     scale_y = span_y / float(top_level * Fraction(11, 10))
 
-    points: list[str] = []
-
-    def add(t: int, level: Fraction) -> None:
-        x = left + t * scale_x
-        y = height - bottom - float(level) * scale_y
-        points.append(f"{x:.2f},{y:.2f}")
+    # v / den is correctly rounded, so it equals float(Fraction(v, den));
+    # each distinct level and each breakpoint is formatted once
+    ys = {v: f"{height - bottom - v / den * scale_y:.2f}" for v in set(scaled)}
+    xs = (f"{left + t * scale_x:.2f}" for t in (*bps, profile.hyperperiod))
 
     # left-to-right step outline; the stretch before the first breakpoint
     # belongs to the cyclic last segment
-    if profile.breakpoints[0] > 0:
-        add(0, profile.levels[-1])
-        add(profile.breakpoints[0], profile.levels[-1])
-    n = len(profile.breakpoints)
-    for k in range(n):
-        end = profile.breakpoints[k + 1] if k + 1 < n else profile.hyperperiod
-        add(profile.breakpoints[k], profile.levels[k])
-        add(end, profile.levels[k])
+    points: list[str] = []
+    if bps[0] > 0:
+        y = ys[scaled[-1]]
+        points += (f"{left:.2f},{y}", f"{left + bps[0] * scale_x:.2f},{y}")
+    for (x, end), v in zip(pairwise(xs), scaled):
+        y = ys[v]
+        points += (f"{x},{y}", f"{end},{y}")
 
     axis = (
         f'<line x1="{left:.2f}" y1="{height - bottom:.2f}" x2="{width - right:.2f}" '

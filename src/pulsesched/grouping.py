@@ -60,7 +60,8 @@ def partition_by_frequency(specs: list[PulseSpec]) -> GroupPlan:
                 member_ids=tuple(specs[i].id for i in members),
             )
         )
-        remaining = [i for i in remaining if i not in set(members)]
+        taken = set(members)
+        remaining = [i for i in remaining if i not in taken]
     return GroupPlan(groups=tuple(groups))
 
 

@@ -357,7 +357,7 @@ def realize_phases_multifreq(
 
         if len({r for r, _, _ in placed}) > 1:
             group = [replace(out[i], amplitude=1) for i in (b, *js)]
-            worst = max(aggregate_profile(group).levels)
+            worst = max(aggregate_profile(group).scaled)  # unit amplitudes: denominator 1
             if worst > 1:
                 raise InvalidAssignmentError(
                     f"realized phases for bin {b} overlap (group level reaches {worst})"

@@ -10,15 +10,20 @@ coincides with another load's rising edge is not an overlap.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from itertools import accumulate, compress, repeat
+from typing import Union
 
-from .errors import EmptyInputError, MissingVoltageError, TickOverflowError
+from .errors import EmptyInputError, MissingVoltageError, TickOverflowError, WorkBudgetError
 from .ticks import MAX_TICK, TICKS_PER_SECOND, as_fraction, ticks_from_seconds
 
 LoadId = Union[int, str]
+
+# Work budget of one event sweep, in edges (rising plus falling) visited
+MAX_EDGES = 10**7
 
 
 def load_sort_key(load_id: LoadId) -> tuple:
@@ -114,49 +119,48 @@ class PulseSpec:
 class StepProfile:
     """Piecewise-constant current over one hyperperiod, maximally merged.
 
-    levels[k] holds on the half-open span [breakpoints[k], breakpoints[k+1]),
-    cyclically: the last segment wraps through hyperperiod back to the first
-    breakpoint. A constant profile is a single breakpoint at 0.
+    Levels are stored scaled to one common integer denominator: segment k
+    carries scaled[k] / denominator on the half-open span
+    [breakpoints[k], breakpoints[k+1]), cyclically: the last segment wraps
+    through hyperperiod back to the first breakpoint. A constant profile is
+    a single breakpoint at 0.
     """
 
     hyperperiod: int
     breakpoints: tuple[int, ...]
-    levels: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+    denominator: int
 
     def __post_init__(self):
         if self.hyperperiod <= 0:
             raise ValueError("hyperperiod must be positive")
-        if not self.breakpoints or len(self.breakpoints) != len(self.levels):
+        if not isinstance(self.denominator, int) or self.denominator <= 0:
+            raise ValueError("denominator must be a positive integer")
+        bps, scaled = self.breakpoints, self.scaled
+        if not bps or len(bps) != len(scaled):
             raise ValueError("need one level per breakpoint, at least one")
-        object.__setattr__(self, "levels", tuple(as_fraction(v) for v in self.levels))
-        prev = -1
-        for b in self.breakpoints:
-            if not isinstance(b, int) or not 0 <= b < self.hyperperiod:
-                raise ValueError("breakpoints must be integer ticks in [0, hyperperiod)")
-            if b <= prev:
-                raise ValueError("breakpoints must be strictly increasing")
-            prev = b
-        n = len(self.levels)
-        if n > 1:
-            for k in range(n):
-                if self.levels[k] == self.levels[(k + 1) % n]:
-                    raise ValueError("adjacent segment levels must differ (maximal merge)")
-        elif self.breakpoints != (0,):
+        if not all(map(isinstance, scaled, repeat(int))):
+            raise ValueError("scaled levels must be integers")
+        if not all(map(isinstance, bps, repeat(int))) or bps[0] < 0 or bps[-1] >= self.hyperperiod:
+            raise ValueError("breakpoints must be integer ticks in [0, hyperperiod)")
+        if not all(map(operator.lt, bps, bps[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        if len(scaled) > 1:
+            if scaled[-1] == scaled[0] or any(map(operator.eq, scaled, scaled[1:])):
+                raise ValueError("adjacent segment levels must differ (maximal merge)")
+        elif bps != (0,):
             raise ValueError("a constant profile is represented by breakpoint 0")
+
+    @property
+    def levels(self) -> tuple[Fraction, ...]:
+        """Segment levels in amperes, built on demand from the scaled integers."""
+        return tuple(Fraction(v, self.denominator) for v in self.scaled)
 
     def level_at(self, t: int) -> Fraction:
         """Current level at tick t (periodic continuation for any t ≥ 0)."""
         t %= self.hyperperiod
         # bisect lands on -1 before the first breakpoint: the cyclic last segment
-        return self.levels[bisect_right(self.breakpoints, t) - 1]
-
-    def segments(self) -> Iterator[tuple[int, int, Fraction]]:
-        """Yield (start, duration, level) per segment; the last one wraps."""
-        n = len(self.breakpoints)
-        for k in range(n):
-            start = self.breakpoints[k]
-            end = self.breakpoints[(k + 1) % n] if k + 1 < n else self.breakpoints[0] + self.hyperperiod
-            yield start, end - start, self.levels[k]
+        return Fraction(self.scaled[bisect_right(self.breakpoints, t) - 1], self.denominator)
 
 
 @dataclass(frozen=True)
@@ -186,50 +190,61 @@ def hyperperiod(specs: list[PulseSpec]) -> int:
 def aggregate_profile(specs: list[PulseSpec]) -> StepProfile:
     """Exact sum of all pulse trains over one hyperperiod.
 
-    Collects every rising/falling edge as a signed amplitude delta, sweeps
-    them in time order, and merges segments whose deltas cancel (a fall
-    coinciding with a rise produces no breakpoint).
+    Scales every amplitude to an integer over the LCM of their
+    denominators, collects every rising/falling edge as a signed integer
+    delta, sweeps them in time order, and merges segments whose deltas
+    cancel (a fall coinciding with a rise produces no breakpoint). The
+    edge count is checked against MAX_EDGES before anything is allocated.
     """
     if not specs:
         raise EmptyInputError("aggregate of no loads")
     t_lcm = hyperperiod(specs)
     if t_lcm > MAX_TICK:
         raise TickOverflowError(f"hyperperiod {t_lcm} exceeds the tick range {MAX_TICK}")
+    edges = sum(2 * (t_lcm // s.period) for s in specs if not s.always_on)
+    if edges > MAX_EDGES:
+        raise WorkBudgetError(
+            f"a sweep over hyperperiod {t_lcm} visits {edges} edges, above the budget of {MAX_EDGES}"
+        )
 
-    base = Fraction(0)  # always-on loads contribute a constant floor
-    deltas: dict[int, Fraction] = {}
-    gated: list[PulseSpec] = []
+    den = math.lcm(*(s.amplitude.denominator for s in specs))
+    base = 0  # always-on loads contribute a constant floor
+    deltas: dict[int, int] = {}
+    get = deltas.get
+    gated: list[tuple[PulseSpec, int]] = []
     for s in specs:
+        amp = s.amplitude.numerator * (den // s.amplitude.denominator)
         if s.always_on:
-            base += s.amplitude
+            base += amp
             continue
-        gated.append(s)
-        for k in range(t_lcm // s.period):
-            rise = s.phase + k * s.period
-            fall = rise + s.on_width
-            if fall >= t_lcm:
-                fall -= t_lcm
-            deltas[rise] = deltas.get(rise, Fraction(0)) + s.amplitude
-            deltas[fall] = deltas.get(fall, Fraction(0)) - s.amplitude
+        gated.append((s, amp))
+        # the falls of one load are its rises shifted by on_width, modulo t_lcm
+        for t in range(s.phase, t_lcm, s.period):
+            deltas[t] = get(t, 0) + amp
+        for t in range((s.phase + s.on_width) % s.period, t_lcm, s.period):
+            deltas[t] = get(t, 0) - amp
 
-    times = sorted(t for t, d in deltas.items() if d != 0)
+    # ticks whose deltas cancel to 0 are no breakpoints
+    times = sorted(compress(deltas, deltas.values()))
+    first = times[0] if times else 0
+    level = base + sum(amp for s, amp in gated if s.active_at(first))
     if not times:
         # every rise cancels a fall: the gated loads add a constant level too
-        level = base + sum((s.amplitude for s in gated if s.active_at(0)), Fraction(0))
-        return StepProfile(t_lcm, (0,), (level,))
-
-    first = times[0]
-    level = base + sum((s.amplitude for s in gated if s.active_at(first)), Fraction(0))
-    levels = [level]
-    for t in times[1:]:
-        level += deltas[t]
-        levels.append(level)
-    return StepProfile(t_lcm, tuple(times), tuple(levels))
+        return StepProfile(t_lcm, (0,), (level,), den)
+    scaled = tuple(accumulate(map(deltas.__getitem__, times[1:]), initial=level))
+    return StepProfile(t_lcm, tuple(times), scaled, den)
 
 
 def profile_metrics(profile: StepProfile) -> Metrics:
     """Min/max over segment levels and the duration-weighted mean."""
-    lo = min(profile.levels)
-    hi = max(profile.levels)
-    total = sum((dur * lvl for _, dur, lvl in profile.segments()), Fraction(0))
-    return Metrics(lo, hi, hi - lo, total / profile.hyperperiod)
+    bps, scaled, den = profile.breakpoints, profile.scaled, profile.denominator
+    lo = min(scaled)
+    hi = max(scaled)
+    ends = bps[1:] + (bps[0] + profile.hyperperiod,)  # the last segment wraps
+    total = sum(map(operator.mul, map(operator.sub, ends, bps), scaled))
+    return Metrics(
+        Fraction(lo, den),
+        Fraction(hi, den),
+        Fraction(hi - lo, den),
+        Fraction(total, den * profile.hyperperiod),
+    )

@@ -6,11 +6,26 @@ search internals, so agreement is meaningful.
 """
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 from pulsesched import PulseSpec
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def reference_module(name: str):
+    """A module of `pulsesched_ref`, the frozen copy of the package in perfbench/.
+
+    Used read-only as an oracle for outputs that must stay byte-identical.
+    """
+    if str(REFERENCE_DIR) not in sys.path:
+        sys.path.append(str(REFERENCE_DIR))
+    return importlib.import_module(f"pulsesched_ref.{name}")
 
 
 def level_at_tick(specs: list[PulseSpec], t: int) -> Fraction:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pulsesched
 from pulsesched.cli import main
 
@@ -54,6 +56,37 @@ class TestSimulate:
         sc = tmp_path / "bad.json"
         sc.write_text('{"loads": [{"id": 1, "amplitude_a": -7, "frequency_hz": 1, "duty_pct": 40}]}')
         assert run(["simulate", sc, "--out", tmp_path]) == 2
+
+    def test_sweep_above_the_edge_budget_exits_3(self, tmp_path, capsys):
+        # a 2 us load next to a coprime 10.000001 s load: 2 x 10000001 edges
+        sc = tmp_path / "budget.json"
+        sc.write_text(
+            '{"loads": ['
+            '{"id": 1, "amplitude_a": 1, "frequency_hz": 500000, "duty_pct": 50, "phase_s": 0},'
+            '{"id": 2, "amplitude_a": 1, "frequency_hz": "1000000/10000001", '
+            '"duty_pct": "100/10000001", "phase_s": 0}]}'
+        )
+        assert run(["simulate", sc, "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "edges" in err
+
+
+# two always-on loads whose periods' LCM exceeds the 2^63 - 1 tick range
+HYPERPERIOD_OVERFLOW = (
+    '{"loads": ['
+    '{"id": 1, "amplitude_a": 1, "frequency_hz": "1000000/999999999989", "duty_pct": "100", "phase_s": 0},'
+    '{"id": 2, "amplitude_a": 1, "frequency_hz": "1000000/999999999959", "duty_pct": "100", "phase_s": 0}]}'
+)
+
+
+class TestHyperperiodOverflow:
+    @pytest.mark.parametrize("command", ["simulate", "schedule"])
+    def test_exits_3_with_an_error_line(self, tmp_path, capsys, command):
+        sc = tmp_path / "overflow.json"
+        sc.write_text(HYPERPERIOD_OVERFLOW)
+        assert run([command, sc, "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestSchedule:

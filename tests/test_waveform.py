@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import dense_metrics, level_at_tick, random_mixed_fleet
+from helpers import dense_metrics, level_at_tick, random_mixed_fleet, reference_module
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pulsesched import (
     EmptyInputError,
@@ -12,11 +14,14 @@ from pulsesched import (
     PulseSpec,
     StepProfile,
     TickOverflowError,
+    WorkBudgetError,
     aggregate_profile,
     hyperperiod,
     mean_power,
     profile_metrics,
+    waveform,
 )
+from pulsesched.files import metrics_json, waveform_csv, waveform_svg
 
 S = 10**6  # ticks per second
 
@@ -145,9 +150,61 @@ class TestAggregateProfile:
                 assert all(prof.levels[k] != prof.levels[(k + 1) % n] for k in range(n))
 
 
+class TestStepProfile:
+    def test_levels_are_scaled_over_one_denominator(self):
+        prof = StepProfile(1000, (0, 400), (7, 10), 4)
+        assert prof.levels == (Fraction(7, 4), Fraction(5, 2))
+        assert prof.level_at(399) == Fraction(7, 4)
+        assert prof.level_at(1400) == Fraction(5, 2)
+
+    def test_sweep_uses_the_lcm_of_the_amplitude_denominators(self):
+        a = spec("a", Fraction(1, 3), 1000, 400)
+        b = spec("b", Fraction(1, 4), 1000, 1000)
+        prof = aggregate_profile([a, b])
+        assert prof.denominator == 12
+        assert prof.scaled == (7, 3)
+        assert prof.levels == (Fraction(7, 12), Fraction(1, 4))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (0, (0,), (1,), 1),  # hyperperiod not positive
+            (1000, (0,), (1,), 0),  # denominator not positive
+            (1000, (), (), 1),  # no breakpoint
+            (1000, (0, 500), (1,), 1),  # one level short
+            (1000, (0,), (Fraction(42),), 1),  # level not an integer
+            (1000, (0, 1000), (1, 2), 1),  # breakpoint outside [0, hyperperiod)
+            (1000, (500, 500), (1, 2), 1),  # breakpoints not strictly increasing
+            (1000, (0, 500, 700), (1, 2, 2), 1),  # adjacent levels equal
+            (1000, (0, 300, 600), (1, 2, 1), 1),  # last level wraps onto an equal first
+            (1000, (500,), (1,), 1),  # constant profile off breakpoint 0
+        ],
+    )
+    def test_rejects_malformed_profiles(self, args):
+        with pytest.raises(ValueError):
+            StepProfile(*args)
+
+
+class TestWorkBudget:
+    def test_coprime_sweep_above_the_budget_is_refused(self):
+        # 2 x 10000001 edges from the 2-tick load alone, refused before any is visited
+        fleet = [spec("fast", 1, 2, 1), spec("slow", 1, 10_000_001, 1)]
+        with pytest.raises(WorkBudgetError):
+            aggregate_profile(fleet)
+
+    def test_budget_counts_edges_of_gated_loads_only(self, monkeypatch):
+        # hyperperiod 12: 2 x 3 + 2 x 2 = 10 edges; the always-on load adds none
+        fleet = [spec("a", 1, 4, 2), spec("b", 1, 6, 3), spec("c", 1, 12, 12)]
+        monkeypatch.setattr(waveform, "MAX_EDGES", 10)
+        assert aggregate_profile(fleet).hyperperiod == 12
+        monkeypatch.setattr(waveform, "MAX_EDGES", 9)
+        with pytest.raises(WorkBudgetError):
+            aggregate_profile(fleet)
+
+
 class TestProfileMetrics:
     def test_constant_profile(self):
-        m = profile_metrics(StepProfile(1000, (0,), (Fraction(42),)))
+        m = profile_metrics(StepProfile(1000, (0,), (126,), 3))
         assert m.min_a == m.max_a == m.mean_a == 42
         assert m.fluctuation_a == 0
 
@@ -201,3 +258,41 @@ class TestInvariants:
         prof = aggregate_profile(specs)
         for t in range(0, prof.hyperperiod, 7):
             assert prof.level_at(t) == prof.level_at(t + prof.hyperperiod)
+
+
+ref_waveform = reference_module("waveform")
+ref_files = reference_module("files")
+
+
+@st.composite
+def fleets_on_mixed_denominators(draw):
+    """Small fleets whose amplitudes need a common denominator; some loads always on."""
+    unit = draw(st.sampled_from((1, 7, 1000)))
+    loads = []
+    for i in range(draw(st.integers(1, 6))):
+        period = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30)))
+        width = draw(st.integers(1, period))
+        amplitude = Fraction(draw(st.integers(1, 5000)), draw(st.sampled_from((1, 3, 7, 10, 12, 1000))))
+        loads.append((i + 1, amplitude, unit * period, unit * width, draw(st.integers(0, unit * period - 1))))
+    return loads
+
+
+class TestIntegerKernel:
+    @seed(20263)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(fleets_on_mixed_denominators())
+    def test_outputs_match_the_frozen_fraction_kernel(self, loads):
+        specs = [spec(*load) for load in loads]
+        prof = aggregate_profile(specs)
+        ref_prof = ref_waveform.aggregate_profile([ref_waveform.PulseSpec(*load) for load in loads])
+        assert waveform_csv(prof) == ref_files.waveform_csv(ref_prof)
+        assert waveform_svg(prof, "fleet") == ref_files.waveform_svg(ref_prof, "fleet")
+        m, ref_m = profile_metrics(prof), ref_waveform.profile_metrics(ref_prof)
+        assert (m.min_a, m.max_a, m.fluctuation_a, m.mean_a) == (
+            ref_m.min_a, ref_m.max_a, ref_m.fluctuation_a, ref_m.mean_a
+        )
+        assert metrics_json(m) == ref_files.metrics_json(ref_m)
+        # first and last tick of every segment, and the wrap-around
+        for b in prof.breakpoints:
+            for t in (b, b - 1 if b else prof.hyperperiod - 1):
+                assert prof.level_at(t) == level_at_tick(specs, t)
