@@ -1,9 +1,10 @@
 """Batch front-end: simulate, schedule, or power-plan a scenario file.
 
-Exit codes: 0 success, 2 scenario validation failure, 3 infeasible
-schedule/plan (including a duty de-rating whose scaled on-widths fall off
-the tick grid, a hyperperiod beyond the tick range and a waveform sweep
-above its edge budget), 4 missing soc/voltage fields in plan-power.
+Exit codes: 0 success, 2 scenario validation failure, 4 missing soc/voltage
+fields in plan-power, 3 any other scheduling error: an infeasible
+schedule/plan, a duty de-rating whose scaled on-widths fall off the tick
+grid, a hyperperiod beyond the tick range, a waveform sweep above its edge
+budget. Each failure prints one `error:` line to stderr.
 """
 from __future__ import annotations
 
@@ -12,16 +13,7 @@ import sys
 from pathlib import Path
 
 from . import files
-from .errors import (
-    InfeasibleError,
-    MissingSocError,
-    MissingVoltageError,
-    NoAdmissibleError,
-    NonRepresentableDutyError,
-    ScenarioError,
-    TickOverflowError,
-    WorkBudgetError,
-)
+from .errors import MissingSocError, MissingVoltageError, PulseSchedError, ScenarioError
 from .files import Scenario, amount_str, load_scenario, write_text_atomic
 from .grouping import GroupPlan, schedule_fleet
 from .power import MODES, enforce_limit, prioritize_and_admit
@@ -31,6 +23,12 @@ from .waveform import Metrics, PulseSpec, aggregate_profile, profile_metrics
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_MISSING_FIELDS = 4
+# every other PulseSchedError exits EXIT_INFEASIBLE
+EXIT_CODES = {
+    ScenarioError: EXIT_VALIDATION,
+    MissingSocError: EXIT_MISSING_FIELDS,
+    MissingVoltageError: EXIT_MISSING_FIELDS,
+}
 
 
 def _print_metrics(label: str, m: Metrics) -> None:
@@ -190,21 +188,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
+    except PulseSchedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (
-        InfeasibleError,
-        NoAdmissibleError,
-        NonRepresentableDutyError,
-        TickOverflowError,
-        WorkBudgetError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (MissingSocError, MissingVoltageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_FIELDS
+        codes = (code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+        return next(codes, EXIT_INFEASIBLE)
 
 
 if __name__ == "__main__":

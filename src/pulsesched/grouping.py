@@ -71,7 +71,7 @@ def schedule_fleet(
     """Partition, solve, and realize the whole fleet.
 
     Returns the realized specs sorted by load id plus the solved plan. A group
-    whose solve or phase realization fails is left unshifted; without
+    whose phase realization fails is left unshifted; without
     allow_partial the failures are re-raised tagged with their group indices
     after the other groups finished.
     """
@@ -93,7 +93,7 @@ def schedule_fleet(
             else:
                 assignment = solve_multifreq(members)
                 placed = realize_phases_multifreq(members, assignment)
-        except (InfeasibleError, InvalidAssignmentError) as exc:
+        except InvalidAssignmentError as exc:
             failures.append((group.index, exc))
             solved.append(group)
             continue

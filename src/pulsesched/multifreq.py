@@ -19,14 +19,20 @@ lexicographically smallest bin-flag vector; per subset a host check comes
 first, first-fit-decreasing is the quick accept and a complete backtracking
 search the exact fallback. Among the optima it then picks the smallest bin
 per item in input order, then the smallest slot class per item.
+
+Realization gives each item one offset in its bin's off-interval, kept in
+every slot it occupies. When a bin mixes ratios, per-slot capacity alone
+does not guarantee that its first fit finds such offsets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, combinations
+from math import gcd
 
 from .errors import EmptyInputError, InvalidAssignmentError, MixedFrequencyError
-from .waveform import PulseSpec, aggregate_profile, hyperperiod, load_sort_key
+from .waveform import PulseSpec, hyperperiod, load_sort_key
+from .waveform import aggregate_profile  # noqa: F401  bound for perfbench/spans.py's tracer
 
 
 @dataclass(frozen=True)
@@ -326,14 +332,14 @@ def verify_multifreq(specs: list[PulseSpec], assignment: AssignmentMultiFreq) ->
 def realize_phases_multifreq(
     specs: list[PulseSpec], assignment: AssignmentMultiFreq
 ) -> list[PulseSpec]:
-    """Anchor each item behind its bin's falling edge in its first occupied slot.
+    """Anchor each item behind its bin's falling edge at one offset for all its slots.
 
-    Bin-type loads keep their input phases. Items landing in the same first
-    slot stack back to back in order of descending on-width (ties by
-    ascending id). Items of one period ratio share all their slots or none,
-    so a bin whose items have one ratio is overlap-free by construction. A bin
-    mixing ratios is swept over the hyperperiod and any residual overlap
-    (possible where shared slots differ from first slots) is rejected.
+    Bin-type loads keep their input phases. Items with ratios r_i, r_j and
+    slot classes c_i, c_j share a slot iff gcd(r_i, r_j) divides c_i - c_j
+    (CRT; the bin's slot count is a multiple of lcm(r_i, r_j)). By descending
+    on-width, ties by id, each item takes the lowest offset that clears every
+    placed item it shares a slot with, so a realized bin never overlaps; one
+    that finds none in the off-interval raises InvalidAssignmentError.
     """
     problems = verify_multifreq(specs, assignment)
     if problems:
@@ -346,22 +352,24 @@ def realize_phases_multifreq(
     for b, js in sorted(hosted.items()):
         js.sort(key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)))
         bin_spec = specs[b]
-        placed: list[tuple[int, int, int]] = []  # (ratio, class, width) per stacked item
+        placed: list[tuple[int, int, int, int]] = []  # (ratio, class, start, end) per placed item
         for j in js:
             ratio = specs[j].period // bin_spec.period
             cls = assignment.slot_class[j]
-            offset = sum(w for r, c, w in placed if (cls - c) % r == 0)
+            width = specs[j].on_width
+            offset = 0
+            shared = sorted((s, e) for r, c, s, e in placed if (cls - c) % gcd(ratio, r) == 0)
+            for start, end in shared:
+                if offset + width <= start:
+                    break
+                offset = max(offset, end)
+            if offset + width > bin_spec.off_width:
+                raise InvalidAssignmentError(
+                    f"item {specs[j].id} finds no free offset in bin {bin_spec.id}'s off-interval"
+                )
             phase = bin_spec.phase + bin_spec.on_width + (cls - 1) * bin_spec.period + offset
             out[j] = replace(specs[j], phase=phase % specs[j].period)
-            placed.append((ratio, cls, specs[j].on_width))
-
-        if len({r for r, _, _ in placed}) > 1:
-            group = [replace(out[i], amplitude=1) for i in (b, *js)]
-            worst = max(aggregate_profile(group).scaled)  # unit amplitudes: denominator 1
-            if worst > 1:
-                raise InvalidAssignmentError(
-                    f"realized phases for bin {b} overlap (group level reaches {worst})"
-                )
+            placed.append((ratio, cls, offset, offset + width))
     return out
 
 

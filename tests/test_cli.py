@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import pulsesched
+from pulsesched import MixedFrequencyError, cli
 from pulsesched.cli import main
 
 SCENARIOS = Path(pulsesched.__file__).parent / "scenarios"
@@ -136,10 +137,11 @@ class TestSchedule:
         sc = tmp_path / "conflict.json"
         sc.write_text(
             '{"loads": ['
-            '{"id": 1, "amplitude_a": 10, "frequency_hz": 10000, "duty_pct": 10},'
-            '{"id": 2, "amplitude_a": 10, "frequency_hz": 5000, "duty_pct": 25},'
-            '{"id": 3, "amplitude_a": 10, "frequency_hz": "5000/3", "duty_pct": "20/3"},'
-            '{"id": 4, "amplitude_a": 10, "frequency_hz": "10000/3", "duty_pct": 10}]}'
+            '{"id": 1, "amplitude_a": 10, "frequency_hz": "250000/9", "duty_pct": "25/3"},'
+            '{"id": 2, "amplitude_a": 10, "frequency_hz": "250000/3", "duty_pct": "50/3"},'
+            '{"id": 3, "amplitude_a": 10, "frequency_hz": "125000/3", "duty_pct": "125/6"},'
+            '{"id": 4, "amplitude_a": 10, "frequency_hz": "125000/9", "duty_pct": "25/6"},'
+            '{"id": 5, "amplitude_a": 10, "frequency_hz": "125000/3", "duty_pct": "25/2"}]}'
         )
         assert run(["schedule", sc, "--out", tmp_path]) == 3
         assert "group" in capsys.readouterr().err
@@ -157,6 +159,16 @@ class TestSchedule:
         assert run(["schedule", sc, "--out", tmp_path]) == 0
         after = json.loads((tmp_path / "nophase.metrics_after.json").read_text())
         assert after["fluctuation_a"] == "0"
+
+
+class TestErrorContract:
+    def test_unlisted_scheduling_error_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MixedFrequencyError("loads must share one period")
+
+        monkeypatch.setattr(cli, "schedule_fleet", fail)
+        assert run(["schedule", SCENARIOS / "scenario1_random.json", "--out", tmp_path]) == 3
+        assert capsys.readouterr().err == "error: loads must share one period\n"
 
 
 class TestPlanPower:

@@ -32,6 +32,10 @@ def spec(id, period, width=None, phase=0):
     return PulseSpec(id=id, amplitude=10, period=period, on_width=width, phase=phase)
 
 
+# slot-feasible under one bin (the 12-tick load), but its first-fit offsets do not fit
+UNREALIZABLE = [spec(1, 36, 3), spec(2, 12, 2), spec(3, 24, 5), spec(4, 72, 3), spec(5, 24, 3)]
+
+
 class TestPartition:
     def test_scenario2_splits_into_chain_and_five_hz_groups(self):
         plan = partition_by_frequency(scenario2_specs())
@@ -118,14 +122,9 @@ class TestScheduleFleet:
         assert [s.id for s in fleet] == [1, 2, 3]
 
     def test_unrealizable_group_is_tagged_and_skippable(self):
-        # mixed ratios {2,3,6} admit a slot-feasible assignment whose anchored
-        # stacking collides; the group fails as a unit
-        conflicted = [
-            spec("b", 100, width=10),
-            spec("u", 200, width=50),
-            spec("t", 600, width=40),
-            spec("v", 300, width=30),
-        ]
+        # mixed ratios {2,3,6} admit a slot-feasible assignment for which the
+        # first-fit offsets run out of off-interval; the group fails as a unit
+        conflicted = UNREALIZABLE
         with pytest.raises(InfeasibleError) as err:
             schedule_fleet(conflicted)
         assert err.value.groups == (1,)
@@ -135,10 +134,7 @@ class TestScheduleFleet:
 
     def test_failed_group_does_not_block_others(self):
         conflicted = [
-            spec("b", 100, width=10),
-            spec("u", 200, width=50),
-            spec("t", 600, width=40),
-            spec("v", 300, width=30),
+            *UNREALIZABLE,
             spec("p", 7777, width=3500, phase=100),
             spec("q", 7777, width=3500),
         ]

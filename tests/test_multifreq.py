@@ -1,13 +1,17 @@
 """Multi-frequency grouping model over the hyperperiod."""
+import math
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
 from helpers import (
+    level_at_tick,
     oracle_lex_min_bins,
     oracle_min_bins_multifreq,
     oracle_min_bins_samefreq,
     random_multifreq_fleet,
+    reference_module,
 )
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -17,7 +21,6 @@ from pulsesched import (
     EmptyInputError,
     InvalidAssignmentError,
     PulseSpec,
-    aggregate_profile,
     check_groupability,
     realize_phases_multifreq,
     solve_multifreq,
@@ -28,6 +31,15 @@ from pulsesched import (
 
 def spec(id, period, width, phase=0, amp=10):
     return PulseSpec(id=id, amplitude=amp, period=period, on_width=width, phase=phase)
+
+
+def assert_bins_at_unit_level(specs, a, realized):
+    """Each bin with its items, at unit amplitude, never reaches level 2 (tick by tick)."""
+    t_lcm = math.lcm(*(s.period for s in specs))
+    for b in set(a.bin_of_item.values()):
+        members = [b, *(j for j, host in a.bin_of_item.items() if host == b)]
+        unit = [replace(realized[i], amplitude=1) for i in members]
+        assert max(level_at_tick(unit, t) for t in range(t_lcm)) == 1
 
 
 class TestGroupability:
@@ -241,20 +253,11 @@ class TestRealize:
         for _ in range(20):
             specs = random_multifreq_fleet(rng, rng.randrange(2, 6))
             a = solve_multifreq(specs)
-            realized = realize_phases_multifreq(specs, a)
-            hosted: dict[int, list[int]] = {}
-            for j, b in a.bin_of_item.items():
-                hosted.setdefault(b, []).append(j)
-            for b, js in hosted.items():
-                unit = [
-                    PulseSpec(realized[i].id, 1, realized[i].period, realized[i].on_width, realized[i].phase)
-                    for i in (b, *js)
-                ]
-                assert max(aggregate_profile(unit).levels) <= 1
+            assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
-    def test_mixed_ratio_first_slot_conflict_is_rejected(self):
-        # ratios {2, 3, 6} can satisfy every slot capacity while the anchored
-        # stacking still collides in a shared later slot; realization detects it
+    def test_mixed_ratio_first_slot_conflict_is_realized(self):
+        # ratios {2, 3, 6} satisfy every slot capacity, but two items first
+        # meet in a later slot: stacking by first slot alone would collide
         specs = [
             spec("b", 100, 10),
             spec("u", 200, 50),
@@ -263,9 +266,15 @@ class TestRealize:
         ]
         a = solve_multifreq(specs)
         assert a.bins_used == 1
-        assert verify_multifreq(specs, a) == []
-        with pytest.raises(InvalidAssignmentError):
-            realize_phases_multifreq(specs, a)
+        assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
+
+    def test_items_sharing_only_a_later_slot_are_realized(self):
+        # bin period P = 1000: A (2P, 200) and B (3P, 300) share slot 1, and
+        # B meets C (2P, 500, second class) only in slot 4
+        specs = [spec("bin", 1000, 100), spec("A", 2000, 200), spec("B", 3000, 300), spec("C", 2000, 500)]
+        a = solve_multifreq(specs)
+        assert a.bins_used == 1
+        assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
 
 class TestVerify:
@@ -310,3 +319,55 @@ def test_solver_matches_brute_force_lex_min(specs):
     a = solve_multifreq(specs)
     assert (a.bin_flags, a.bin_of_item) == oracle_lex_min_bins(specs)
     assert verify_multifreq(specs, a) == []
+
+
+@st.composite
+def mixed_ratio_groups(draw):
+    """Up to 7 loads on one base period at multiples from {1, 2, 3, 4, 6, 12}.
+
+    Most pulses are short, so bins host several items of mixed ratios.
+    """
+    base = draw(st.sampled_from((5, 12, 20)))
+    specs = []
+    for i in range(draw(st.integers(2, 7))):
+        period = base * draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+        width = draw(st.integers(1, max(1, period // draw(st.sampled_from((1, 4, 8))))))
+        specs.append(spec(i + 1, period, width, draw(st.integers(0, period - 1))))
+    return specs
+
+
+@seed(20264)
+@settings(max_examples=150, deadline=None, database=None)
+@given(mixed_ratio_groups())
+def test_realization_fails_loudly_or_never_overlaps(specs):
+    a = solve_multifreq(specs)
+    try:
+        realized = realize_phases_multifreq(specs, a)
+    except InvalidAssignmentError:
+        return
+    assert_bins_at_unit_level(specs, a, realized)
+
+
+ref_samefreq = reference_module("samefreq")
+ref_waveform = reference_module("waveform")
+
+
+@st.composite
+def equal_period_fleets(draw):
+    """(id, period, width, phase) of up to 8 loads sharing one period."""
+    period = draw(st.integers(1, 60))
+    return [
+        (i + 1, period, draw(st.integers(1, period)), draw(st.integers(0, period - 1)))
+        for i in range(draw(st.integers(1, 8)))
+    ]
+
+
+@seed(20265)
+@settings(max_examples=150, deadline=None, database=None)
+@given(equal_period_fleets())
+def test_equal_period_phases_match_the_frozen_samefreq_realizer(loads):
+    specs = [spec(i, period, w, p) for i, period, w, p in loads]
+    ref_specs = [ref_waveform.PulseSpec(i, 10, period, w, p) for i, period, w, p in loads]
+    realized = realize_phases_multifreq(specs, solve_multifreq(specs))
+    expected = ref_samefreq.realize_phases_samefreq(ref_specs, ref_samefreq.solve_samefreq(ref_specs))
+    assert [s.phase for s in realized] == [s.phase for s in expected]
