@@ -32,14 +32,11 @@ from .errors import (
 from .grouping import Group, GroupPlan, partition_by_frequency, schedule_fleet
 from .multifreq import (
     AssignmentMultiFreq,
-    Violation,
     check_groupability,
     realize_phases_multifreq,
     realize_phases_samefreq,
     solve_multifreq,
     solve_samefreq,
-    verify_multifreq,
-    verify_samefreq,
 )
 from .power import PowerPlan, backfill, enforce_limit, prioritize_and_admit
 from .ticks import MAX_TICK, TICKS_PER_SECOND, seconds_str, ticks_from_seconds
@@ -80,7 +77,6 @@ __all__ = [
     "StepProfile",
     "TICKS_PER_SECOND",
     "TickOverflowError",
-    "Violation",
     "WorkBudgetError",
     "ZeroDutyError",
     "adjust_waveform",
@@ -104,6 +100,4 @@ __all__ = [
     "solve_samefreq",
     "ticks_from_seconds",
     "total_mean_power",
-    "verify_multifreq",
-    "verify_samefreq",
 ]

@@ -1,7 +1,8 @@
 """Batch front-end: simulate, schedule, or power-plan a scenario file.
 
-Exit codes: 0 success, 2 scenario validation failure, 4 missing soc/voltage
-fields in plan-power, 3 any other scheduling error: an infeasible
+Exit codes: 0 success, 2 scenario validation failure (a quantity's decimal
+exponent beyond ±files.MAX_EXPONENT included), 4 missing soc/voltage fields
+in plan-power, 3 any other scheduling error or ValueError: an infeasible
 schedule/plan, a duty de-rating whose scaled on-widths fall off the tick
 grid, a hyperperiod beyond the tick range, a waveform sweep above its edge
 budget. Each failure prints one `error:` line to stderr.
@@ -23,7 +24,7 @@ from .waveform import Metrics, PulseSpec, aggregate_profile, profile_metrics
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_MISSING_FIELDS = 4
-# every other PulseSchedError exits EXIT_INFEASIBLE
+# every other PulseSchedError, and any ValueError, exits EXIT_INFEASIBLE
 EXIT_CODES = {
     ScenarioError: EXIT_VALIDATION,
     MissingSocError: EXIT_MISSING_FIELDS,
@@ -71,10 +72,8 @@ def _schedule_rows(fleet: list[PulseSpec], plan: GroupPlan) -> list[dict]:
     for group in plan.groups:
         for pos, load_id in enumerate(group.member_ids):
             group_by_id[load_id] = group.index
-            if group.assignment is None:
-                role_by_id[load_id] = "bin"
-            else:
-                role_by_id[load_id] = "bin" if group.assignment.bin_flags[pos] else "item"
+            is_bin = group.assignment is None or group.assignment.bin_flags[pos]
+            role_by_id[load_id] = "bin" if is_bin else "item"
     return [
         {
             "id": s.id,
@@ -188,7 +187,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PulseSchedError as exc:
+    except (PulseSchedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         codes = (code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
         return next(codes, EXIT_INFEASIBLE)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from decimal import Decimal
@@ -63,12 +64,27 @@ def _ratio_str(num: int, den: int) -> str:
     return seconds_str(micros)
 
 
+# Largest decimal exponent a quantity may carry, checked before a Fraction
+# is built: Fraction("1e3000000") alone takes about 1 s.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"e[-+]?0*(\d+)", re.IGNORECASE)
+
+
+def _bounded(text: str, where: str) -> str:
+    """`text` itself, unless it carries a decimal exponent beyond ±MAX_EXPONENT."""
+    match = _EXPONENT.search(text.replace("_", ""))
+    if match and (len(match[1]) > len(str(MAX_EXPONENT)) or int(match[1]) > MAX_EXPONENT):
+        raise ScenarioError(f"{where}: exponent of {text[:40]!r} lies beyond ±{MAX_EXPONENT}")
+    return text
+
+
 def _parse_exact(raw, where: str) -> Fraction:
     if isinstance(raw, bool):
         raise ScenarioError(f"{where}: expected a number, got a boolean")
     if isinstance(raw, (int, Fraction)):
         return Fraction(raw)
     if isinstance(raw, str):
+        _bounded(raw, where)
         try:
             return Fraction(raw)
         except (ValueError, ZeroDivisionError) as exc:
@@ -89,7 +105,7 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         doc = json.loads(
             text,
-            parse_float=lambda s: Fraction(Decimal(s)),
+            parse_float=lambda s: Fraction(Decimal(_bounded(s, path))),
             parse_constant=lambda s: (_ for _ in ()).throw(ValueError(s)),
         )
     except ValueError as exc:
@@ -214,8 +230,11 @@ def write_text_atomic(path: Path, text: str) -> None:
     """Write via temp file + rename so readers never see a partial file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") gives; mkstemp's is 0o600
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -330,8 +349,9 @@ def waveform_svg(profile: StepProfile, title: str) -> str:
         f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" '
         f'y2="{height - bottom:.2f}" stroke="black"/>'
     )
+    text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # xml.sax's escape
     labels = (
-        f'<text x="{left:.2f}" y="{top - 10:.2f}" font-size="14">{title}</text>'
+        f'<text x="{left:.2f}" y="{top - 10:.2f}" font-size="14">{text}</text>'
         f'<text x="{left - 8:.2f}" y="{top + 12:.2f}" font-size="12" text-anchor="end">'
         f"{amount_str(top_level)} A</text>"
         f'<text x="{width - right:.2f}" y="{height - bottom + 18:.2f}" font-size="12" '

@@ -20,9 +20,12 @@ first, first-fit-decreasing is the quick accept and a complete backtracking
 search the exact fallback. Among the optima it then picks the smallest bin
 per item in input order, then the smallest slot class per item.
 
-Realization gives each item one offset in its bin's off-interval, kept in
-every slot it occupies. When a bin mixes ratios, per-slot capacity alone
-does not guarantee that its first fit finds such offsets.
+An assignment stores one placement per load: None for a bin, else the
+item's host bin and slot class. Realization is the one check after the
+solver: it gives each item one offset in its bin's off-interval, kept in
+every slot it occupies, so a realized bin proves every slot within
+capacity. When a bin mixes ratios, per-slot capacity alone does not
+guarantee that its first fit finds such offsets.
 """
 from __future__ import annotations
 
@@ -36,44 +39,24 @@ from .waveform import aggregate_profile  # noqa: F401  bound for perfbench/spans
 
 
 @dataclass(frozen=True)
-class Violation:
-    """One failed constraint: its semantic kind plus the load indices involved."""
-
-    kind: str               # "assignment" | "slot-capacity"
-    indices: tuple[int, ...]
-    message: str
-
-
-@dataclass(frozen=True)
 class AssignmentMultiFreq:
-    """Solver output: bin flags plus each item's hosting bin and slot class.
+    """Solver output: one placement per load, indexed like the solver's input.
 
-    Positions index the solver's input list. An item with period ratio R to
+    placement[i] is None when load i is a bin, else (b, c): load i is an
+    item hosted by bin b in slot class c. An item with period ratio R to
     its bin occupies the bin's off-intervals c, c+R, ... over the
-    hyperperiod, where c = slot_class[item] lies in 1..R.
+    hyperperiod, where c lies in 1..R.
     """
 
-    bin_flags: tuple[int, ...]
-    bin_of_item: dict[int, int]
-    slot_class: dict[int, int]
+    placement: tuple[tuple[int, int] | None, ...]
+
+    @property
+    def bin_flags(self) -> tuple[int, ...]:
+        return tuple(int(p is None) for p in self.placement)
 
     @property
     def bins_used(self) -> int:
-        return sum(self.bin_flags)
-
-    def ratios(self, specs: list[PulseSpec]) -> dict[int, int]:
-        """Each item's period over its bin's period."""
-        return {j: specs[j].period // specs[b].period for j, b in self.bin_of_item.items()}
-
-    def off_counts(self, specs: list[PulseSpec]) -> tuple[int, ...]:
-        """Each load's number of own off-intervals in the hyperperiod."""
-        t_lcm = hyperperiod(specs)
-        return tuple(t_lcm // s.period for s in specs)
-
-    def slot_map(self, specs: list[PulseSpec]) -> dict[int, tuple[int, ...]]:
-        """Each item's occupied off-interval indices of its bin (1-based, increasing)."""
-        counts, ratios, items = self.off_counts(specs), self.ratios(specs), self.bin_of_item.items()
-        return {j: tuple(range(self.slot_class[j], counts[b] + 1, ratios[j])) for j, b in items}
+        return self.placement.count(None)
 
 
 def check_groupability(bin_spec: PulseSpec, item_spec: PulseSpec) -> bool:
@@ -138,8 +121,8 @@ class _Packer:
         pinned_bins = frozenset(option[0] for option in pinned.values())
         return _first_fit(free[:], todo) or _search(free, todo, 0, pinned_bins)
 
-    def lex_min(self, items: tuple[int, ...], free: list[int]) -> tuple[dict, dict]:
-        """Smallest bin per item in input order, then smallest slot class.
+    def lex_min(self, items: tuple[int, ...], free: list[int]) -> dict[int, tuple[int, int]]:
+        """Each item's (bin, slot class): smallest bin in input order, then smallest class.
 
         Each choice is kept only if the remaining items still pack. An item
         whose bin leaves it a single slot class has its load committed at
@@ -147,15 +130,14 @@ class _Packer:
         """
         pending = {j: self.entries[j] for j in items}
         pinned: dict[int, tuple] = {}
-        bin_of: dict[int, int] = {}
-        slot_class: dict[int, int] = {}
+        placed: dict[int, tuple[int, int]] = {}
         for j in items:
             w = pending.pop(j)[0]
             for option in self.entries[j][1]:
                 b, _, _, classes = option
                 if len(classes) == 1:
                     if self._commit(free, classes[0], w, pending, pinned):
-                        slot_class[j] = 1
+                        placed[j] = (b, 1)
                         break
                 else:
                     pending[j] = (w, [option], [option])
@@ -165,17 +147,16 @@ class _Packer:
                     del pending[j], pinned[j]
             else:
                 raise AssertionError("unreachable: subset was verified packable")
-            bin_of[j] = b
-        for j, (_, _, _, classes) in list(pinned.items()):
+        for j, (b, _, _, classes) in list(pinned.items()):
             w = pending.pop(j)[0]
             del pinned[j]
             for c, slots in enumerate(classes, 1):
                 if self._commit(free, slots, w, pending, pinned):
-                    slot_class[j] = c
+                    placed[j] = (b, c)
                     break
             else:
                 raise AssertionError("unreachable: placement was verified packable")
-        return bin_of, {j: slot_class[j] for j in items}
+        return placed
 
     def _commit(self, free: list[int], slots: range, w: int, pending: dict, pinned: dict) -> bool:
         """Take w from every slot in `slots` if it fits and the pending items still pack."""
@@ -274,59 +255,9 @@ def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
                 continue
             if not packer.packs(free, {j: packer.entries[j] for j in items}, {}):
                 continue
-            bin_of, slot_class = packer.lex_min(items, free)
-            flags = tuple(0 if i in bin_of else 1 for i in range(n))
-            return AssignmentMultiFreq(bin_flags=flags, bin_of_item=bin_of, slot_class=slot_class)
+            placed = packer.lex_min(items, free)
+            return AssignmentMultiFreq(placement=tuple(placed.get(i) for i in range(n)))
     raise AssertionError("unreachable: the all-bins assignment is always feasible")
-
-
-def verify_multifreq(specs: list[PulseSpec], assignment: AssignmentMultiFreq) -> list[Violation]:
-    """Empty iff every item sits in one slot class of a hosting bin and no slot overflows."""
-    violations: list[Violation] = []
-    n = len(specs)
-    flags = assignment.bin_flags
-    if len(flags) != n or any(f not in (0, 1) for f in flags):
-        return [Violation("assignment", (), f"bin flags must be {n} zero/one entries")]
-
-    placement = assignment.bin_of_item
-    for j in range(n):
-        if flags[j] == 1 and j in placement:
-            violations.append(Violation("assignment", (j,), f"bin-type load {j} is also placed as an item"))
-        if flags[j] == 0 and j not in placement:
-            violations.append(Violation("assignment", (j,), f"item at position {j} has no hosting bin"))
-
-    t_lcm = hyperperiod(specs)
-    slot_items: dict[tuple[int, int], list[int]] = {}
-    for j, b in sorted(placement.items()):
-        if not 0 <= j < n or not isinstance(b, int) or not 0 <= b < n or flags[b] != 1:
-            violations.append(Violation("assignment", (j,), f"placement {j}->{b} does not name a bin"))
-            continue
-        if specs[j].period % specs[b].period != 0:
-            violations.append(
-                Violation("assignment", (b, j), f"period of item {j} is not a multiple of bin {b}'s")
-            )
-            continue
-        ratio = specs[j].period // specs[b].period
-        cls = assignment.slot_class.get(j)
-        if not isinstance(cls, int) or not 1 <= cls <= ratio:
-            violations.append(
-                Violation("assignment", (b, j), f"slot class of item {j} must lie in 1..{ratio}")
-            )
-            continue
-        for k in range(cls, t_lcm // specs[b].period + 1, ratio):
-            slot_items.setdefault((b, k), []).append(j)
-
-    for (b, k), js in sorted(slot_items.items()):
-        load = sum(specs[j].on_width for j in js)
-        if load > specs[b].off_width:
-            violations.append(
-                Violation(
-                    "slot-capacity",
-                    (b, k, *sorted(js)),
-                    f"slot {k} of bin {b} holds {load} ticks but offers {specs[b].off_width}",
-                )
-            )
-    return violations
 
 
 def realize_phases_multifreq(
@@ -334,28 +265,39 @@ def realize_phases_multifreq(
 ) -> list[PulseSpec]:
     """Anchor each item behind its bin's falling edge at one offset for all its slots.
 
-    Bin-type loads keep their input phases. Items with ratios r_i, r_j and
-    slot classes c_i, c_j share a slot iff gcd(r_i, r_j) divides c_i - c_j
-    (CRT; the bin's slot count is a multiple of lcm(r_i, r_j)). By descending
-    on-width, ties by id, each item takes the lowest offset that clears every
-    placed item it shares a slot with, so a realized bin never overlaps; one
-    that finds none in the off-interval raises InvalidAssignmentError.
+    Bin-type loads keep their input phases. A placement without one entry
+    per load, a host that is not a bin, periods that do not nest or a slot
+    class outside 1..R raise InvalidAssignmentError. Items with ratios r_i,
+    r_j and classes c_i, c_j share a slot iff gcd(r_i, r_j) divides
+    c_i - c_j (CRT). By descending on-width, ties by id, each item takes
+    the lowest offset that clears every placed item it shares a slot with;
+    one that finds none in the off-interval (as in an over-full slot)
+    raises InvalidAssignmentError.
     """
-    problems = verify_multifreq(specs, assignment)
-    if problems:
-        raise InvalidAssignmentError("; ".join(v.message for v in problems))
+    n = len(specs)
+    placement = assignment.placement
+    if len(placement) != n:
+        raise InvalidAssignmentError(f"placement has {len(placement)} entries for {n} loads")
+    hosted: dict[int, list[tuple[int, int, int]]] = {}  # (item, ratio, class) per bin
+    for j, place in enumerate(placement):
+        if place is None:
+            continue
+        b, cls = place
+        if b not in range(n) or placement[b] is not None:
+            raise InvalidAssignmentError(f"item {specs[j].id} is hosted by position {b}, not a bin")
+        ratio, rest = divmod(specs[j].period, specs[b].period)
+        if rest:
+            raise InvalidAssignmentError(f"item {specs[j].id}: period is no multiple of its host's")
+        if cls not in range(1, ratio + 1):
+            raise InvalidAssignmentError(f"slot class of item {specs[j].id} must lie in 1..{ratio}")
+        hosted.setdefault(b, []).append((j, ratio, cls))
 
     out = list(specs)
-    hosted: dict[int, list[int]] = {}
-    for j, b in assignment.bin_of_item.items():
-        hosted.setdefault(b, []).append(j)
     for b, js in sorted(hosted.items()):
-        js.sort(key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)))
+        js.sort(key=lambda t: (-specs[t[0]].on_width, load_sort_key(specs[t[0]].id)))
         bin_spec = specs[b]
         placed: list[tuple[int, int, int, int]] = []  # (ratio, class, start, end) per placed item
-        for j in js:
-            ratio = specs[j].period // bin_spec.period
-            cls = assignment.slot_class[j]
+        for j, ratio, cls in js:
             width = specs[j].on_width
             offset = 0
             shared = sorted((s, e) for r, c, s, e in placed if (cls - c) % gcd(ratio, r) == 0)
@@ -382,11 +324,6 @@ def _one_period(specs: list[PulseSpec]) -> list[PulseSpec]:
 def solve_samefreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
     """solve_multifreq for loads that share one period."""
     return solve_multifreq(_one_period(specs))
-
-
-def verify_samefreq(specs: list[PulseSpec], assignment: AssignmentMultiFreq) -> list[Violation]:
-    """verify_multifreq for loads that share one period."""
-    return verify_multifreq(_one_period(specs), assignment)
 
 
 def realize_phases_samefreq(

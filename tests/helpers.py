@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -35,6 +36,24 @@ def level_at_tick(specs: list[PulseSpec], t: int) -> Fraction:
         if (t - s.phase) % s.period < s.on_width:
             total += s.amplitude
     return total
+
+
+def assert_bins_at_unit_level(specs: list[PulseSpec], assignment, realized: list[PulseSpec]) -> None:
+    """Each bin with its items, at unit amplitude, never reaches level 2.
+
+    The level is checked at every rising edge of the bin's members over one
+    hyperperiod, straight from the pulse definition: a sum of pulses is
+    highest where one of them starts.
+    """
+    t_lcm = math.lcm(*(s.period for s in specs))
+    hosted: dict[int, list[int]] = {}
+    for j, place in enumerate(assignment.placement):
+        if place is not None:
+            hosted.setdefault(place[0], []).append(j)
+    for b, js in hosted.items():
+        unit = [replace(realized[i], amplitude=1) for i in (b, *js)]
+        starts = {(s.phase + k * s.period) % t_lcm for s in unit for k in range(t_lcm // s.period)}
+        assert max(level_at_tick(unit, t) for t in starts) == 1
 
 
 def dense_metrics(specs: list[PulseSpec]) -> tuple[Fraction, Fraction, Fraction]:

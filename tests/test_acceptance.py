@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pulsesched
 from helpers import (
+    assert_bins_at_unit_level,
     oracle_min_bins_multifreq,
     oracle_min_bins_samefreq,
     random_mixed_fleet,
@@ -35,7 +36,6 @@ from pulsesched import (
     schedule_fleet,
     solve_multifreq,
     solve_samefreq,
-    verify_samefreq,
 )
 from pulsesched.adjust import total_mean_power
 from pulsesched.cli import main
@@ -111,8 +111,8 @@ def test_criterion_5_solver_optimality_scenario1():
                     best = min(best, size)
         assert best == assignment.bins_used == 6
 
-        assert verify_samefreq(loads, assignment) == []
         realized = realize_phases_samefreq(loads, assignment)
+        assert_bins_at_unit_level(loads, assignment, realized)
         m = profile_metrics(aggregate_profile(realized))
         assert m.fluctuation_a <= 10
         assert baseline.fluctuation_a == 80

@@ -3,7 +3,9 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -169,6 +171,33 @@ class TestErrorContract:
         monkeypatch.setattr(cli, "schedule_fleet", fail)
         assert run(["schedule", SCENARIOS / "scenario1_random.json", "--out", tmp_path]) == 3
         assert capsys.readouterr().err == "error: loads must share one period\n"
+
+    def test_value_error_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("Exceeds the limit (4300 digits) for integer string conversion")
+
+        monkeypatch.setattr(cli, "schedule_fleet", fail)
+        assert run(["schedule", SCENARIOS / "scenario1_random.json", "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: Exceeds the limit (4300 digits) for integer string conversion\n"
+
+    @pytest.mark.parametrize("raw", ['"1e5000"', "1e5000", '"1e999999999"', "1e999999999"])
+    def test_oversized_exponent_exits_2(self, tmp_path, capsys, raw):
+        sc = tmp_path / "huge.json"
+        sc.write_text(
+            f'{{"loads": [{{"id": 1, "amplitude_a": {raw}, "frequency_hz": 1, "duty_pct": 40, "phase_s": 0}}]}}'
+        )
+        start = time.perf_counter()
+        assert run(["simulate", sc, "--out", tmp_path]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_markup_in_the_scenario_name_keeps_the_svg_well_formed(self, tmp_path):
+        sc = tmp_path / "a&b<c.json"
+        shutil.copy(SCENARIOS / "scenario1_random.json", sc)
+        assert run(["simulate", sc, "--out", tmp_path, "--svg"]) == 0
+        minidom.parse(str(tmp_path / "a&b<c.waveform.svg"))
 
 
 class TestPlanPower:

@@ -1,6 +1,10 @@
 """Scenario ingestion, canonical formatting, and report writers."""
+import os
+import stat
+import time
 from fractions import Fraction
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 
@@ -24,6 +28,12 @@ def write_scenario(tmp_path, text, name="sc.json") -> Path:
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def amplitude_scenario(tmp_path, raw: str) -> Path:
+    """One 1 Hz load whose amplitude is the JSON text `raw`."""
+    load = f'{{"id": 1, "amplitude_a": {raw}, "frequency_hz": 1, "duty_pct": 50}}'
+    return write_scenario(tmp_path, f'{{"loads": [{load}]}}')
 
 
 class TestFormatting:
@@ -124,6 +134,27 @@ class TestLoadScenario:
         assert sc.power_mode == "duty"
         assert sc.emit_csv and not sc.emit_svg
 
+    @pytest.mark.parametrize(
+        "raw", ['"1e5000"', "1e5000", '"1E+1_001"', '"1e-5000"', "1.5e-1001", '"1e0000000000005000"']
+    )
+    def test_exponent_beyond_the_bound_rejected(self, tmp_path, raw):
+        sc = amplitude_scenario(tmp_path, raw)
+        with pytest.raises(ScenarioError, match="exponent"):
+            load_scenario(sc)
+
+    @pytest.mark.parametrize("raw", ['"1e999999999"', "1e999999999"])
+    def test_huge_exponent_rejected_at_once(self, tmp_path, raw):
+        sc = amplitude_scenario(tmp_path, raw)
+        start = time.perf_counter()
+        with pytest.raises(ScenarioError, match="exponent"):
+            load_scenario(sc)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("raw", ['"1e1000"', "1e-1000", '"2.5E+3"'])
+    def test_exponent_within_the_bound_parses_exactly(self, tmp_path, raw):
+        sc = amplitude_scenario(tmp_path, raw)
+        assert load_scenario(sc).loads[0].amplitude == Fraction(raw.strip('"'))
+
     def test_shipped_fixtures_parse(self):
         for name in (
             "scenario1_random.json",
@@ -185,6 +216,12 @@ class TestWaveformExports:
         assert svg.count("<polyline") == 1
         assert svg.startswith("<svg")
 
+    def test_svg_title_with_markup_characters_stays_well_formed(self):
+        prof = aggregate_profile([PulseSpec(id=1, amplitude=10, period=1000, on_width=400)])
+        doc = minidom.parseString(waveform_svg(prof, "a&b<c"))
+        title = doc.getElementsByTagName("text")[0]
+        assert title.firstChild.data == "a&b<c"
+
 
 class TestAtomicWrite:
     def test_no_temp_residue(self, tmp_path):
@@ -193,3 +230,15 @@ class TestAtomicWrite:
         write_text_atomic(target, "world")
         assert target.read_text() == "world"
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_mode_follows_the_umask_like_a_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_text_atomic(tmp_path / "x.json", "hello")
+            with open(tmp_path / "plain.json", "w") as handle:
+                handle.write("hello")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "x.json").stat().st_mode)
+        assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.json").stat().st_mode)

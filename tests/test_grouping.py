@@ -96,11 +96,8 @@ class TestScheduleFleet:
         assert len(plan.groups) == 1
         assignment = plan.groups[0].assignment
         # load 1 sits in load 2's single off-interval, right behind its pulse
-        assert (assignment.bin_flags, assignment.bin_of_item, assignment.slot_class) == (
-            (0, 1, 1),
-            {0: 1},
-            {0: 1},
-        )
+        assert assignment.placement == ((1, 1), None, None)
+        assert assignment.bin_flags == (0, 1, 1)
         assert [s.phase for s in fleet] == [500, 0, 0]
 
     def test_scenario2_fleet_is_constant_fifty_amps(self):

@@ -1,12 +1,10 @@
 """Multi-frequency grouping model over the hyperperiod."""
-import math
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
 from helpers import (
-    level_at_tick,
+    assert_bins_at_unit_level,
     oracle_lex_min_bins,
     oracle_min_bins_multifreq,
     oracle_min_bins_samefreq,
@@ -22,10 +20,10 @@ from pulsesched import (
     InvalidAssignmentError,
     PulseSpec,
     check_groupability,
+    hyperperiod,
     realize_phases_multifreq,
     solve_multifreq,
     solve_samefreq,
-    verify_multifreq,
 )
 
 
@@ -33,13 +31,16 @@ def spec(id, period, width, phase=0, amp=10):
     return PulseSpec(id=id, amplitude=amp, period=period, on_width=width, phase=phase)
 
 
-def assert_bins_at_unit_level(specs, a, realized):
-    """Each bin with its items, at unit amplitude, never reaches level 2 (tick by tick)."""
-    t_lcm = math.lcm(*(s.period for s in specs))
-    for b in set(a.bin_of_item.values()):
-        members = [b, *(j for j, host in a.bin_of_item.items() if host == b)]
-        unit = [replace(realized[i], amplitude=1) for i in members]
-        assert max(level_at_tick(unit, t) for t in range(t_lcm)) == 1
+def slots_of(specs, a, j):
+    """Off-interval indices (1-based) that item j occupies in its bin over the hyperperiod."""
+    b, cls = a.placement[j]
+    ratio = specs[j].period // specs[b].period
+    return tuple(range(cls, hyperperiod(specs) // specs[b].period + 1, ratio))
+
+
+def bins_of(a):
+    """Each item's bin, keyed by the item's position."""
+    return {j: p[0] for j, p in enumerate(a.placement) if p is not None}
 
 
 class TestGroupability:
@@ -89,12 +90,12 @@ class TestSolve:
         a = solve_multifreq(specs)
         assert a.bins_used == 1
         assert a.bin_flags == (1, 0, 0, 0)
-        assert a.slot_class == {1: 1, 2: 1, 3: 2}
-        assert a.slot_map(specs)[1] == (1,)
-        n_bin = a.off_counts(specs)[0]
-        horizon = [k for k in range(1, 5) if ((k - 1) % n_bin) + 1 in a.slot_map(specs)[1]]
+        assert a.placement == (None, (0, 1), (0, 1), (0, 2))
+        assert slots_of(specs, a, 1) == (1,)
+        n_bin = hyperperiod(specs) // specs[0].period
+        horizon = [k for k in range(1, 5) if ((k - 1) % n_bin) + 1 in slots_of(specs, a, 1)]
         assert horizon == [1, 3]
-        assert verify_multifreq(specs, a) == []
+        assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
     def test_scenario2_chain_group_needs_four_bins(self):
         # frequencies 8,8,4,4,2,2,1,1 Hz at 50% duty: only equal-frequency
@@ -107,15 +108,16 @@ class TestSolve:
         a = solve_multifreq(specs)
         assert a.bins_used == 4
         assert a.bins_used == oracle_min_bins_multifreq(specs)
-        assert verify_multifreq(specs, a) == []
+        assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
     def test_two_identical_loads_item_in_every_off_interval(self):
         specs = [spec(1, 1000, 500), spec(2, 1000, 500)]
         a = solve_multifreq(specs)
         assert a.bins_used == 1
         assert a.bin_flags == (0, 1)
-        assert a.ratios(specs) == {0: 1}
-        assert a.slot_map(specs)[0] == tuple(range(1, a.off_counts(specs)[1] + 1))
+        # ratio 1, class 1: every off-interval of the bin
+        assert a.placement == ((1, 1), None)
+        assert slots_of(specs, a, 0) == tuple(range(1, hyperperiod(specs) // 1000 + 1))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -127,8 +129,7 @@ class TestSolve:
         specs = [spec("x", 20, 3), spec("y", 10, 4), spec("a", 10, 5), spec("b", 10, 5)]
         a = solve_multifreq(specs)
         assert a.bin_flags == (0, 0, 1, 1)
-        assert a.bin_of_item == {0: 2, 1: 3}
-        assert a.slot_class == {0: 1, 1: 1}
+        assert a.placement == ((2, 1), (3, 1), None, None)
 
     def test_degenerates_to_samefreq_on_equal_periods(self):
         # equal periods are the ratio-1 case: one slot per bin, class 1 for all
@@ -141,8 +142,8 @@ class TestSolve:
             multi = solve_multifreq(specs)
             assert multi == solve_samefreq(specs)
             assert multi.bins_used == oracle_min_bins_samefreq(specs)
-            assert set(multi.ratios(specs).values()) <= {1}
-            assert multi.slot_map(specs) == {j: (1,) for j in multi.bin_of_item}
+            assert all(p is None or p[1] == 1 for p in multi.placement)
+            assert all(slots_of(specs, multi, j) == (1,) for j in bins_of(multi))
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(223)
@@ -150,7 +151,7 @@ class TestSolve:
             specs = random_multifreq_fleet(rng, rng.randrange(1, 6))
             a = solve_multifreq(specs)
             assert a.bins_used == oracle_min_bins_multifreq(specs)
-            assert verify_multifreq(specs, a) == []
+            assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
     def test_tie_breaking_prefers_items_early_then_small_bins_and_slots(self):
         import math
@@ -163,7 +164,7 @@ class TestSolve:
         while trials < 20:
             specs = random_multifreq_fleet(rng, rng.randrange(2, 5))
             a = solve_multifreq(specs)
-            if not a.bin_of_item:
+            if a.bins_used == len(specs):
                 continue
             trials += 1
             n = len(specs)
@@ -200,8 +201,8 @@ class TestSolve:
                         key = (mapping, classes)
                         best = key if best is None else min(best, key)
             got = (
-                tuple(a.bin_of_item[j] for j in items),
-                tuple(a.slot_class[j] for j in items),
+                tuple(a.placement[j][0] for j in items),
+                tuple(a.placement[j][1] for j in items),
             )
             assert got == best
 
@@ -210,11 +211,10 @@ class TestSolve:
         for _ in range(15):
             specs = random_multifreq_fleet(rng, rng.randrange(2, 6))
             a = solve_multifreq(specs)
-            slot_map, off_counts, ratios = a.slot_map(specs), a.off_counts(specs), a.ratios(specs)
-            for j, b in a.bin_of_item.items():
-                occupied = set(slot_map[j])
-                n_bin = off_counts[b]
-                ratio = ratios[j]
+            for j, b in bins_of(a).items():
+                occupied = set(slots_of(specs, a, j))
+                n_bin = hyperperiod(specs) // specs[b].period
+                ratio = specs[j].period // specs[b].period
                 for n in range(1, n_bin + 1):
                     window = sum(
                         1 for t in range(1, ratio + 1) if ((n + t - 1) % n_bin) + 1 in occupied
@@ -229,7 +229,7 @@ class TestRealize:
             PulseSpec.from_seconds(1, 10, "0.25", "0.05"),
             PulseSpec.from_seconds(2, 10, "0.5", "0.1"),
         ]
-        a = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 2})
+        a = AssignmentMultiFreq(placement=(None, (0, 2)))
         realized = realize_phases_multifreq(specs, a)
         assert realized[1].phase == 300000
 
@@ -278,26 +278,50 @@ class TestRealize:
 
 
 class TestVerify:
+    """Realization is the one check of an assignment: it rejects what it cannot place."""
+
     def test_slot_class_outside_ratio_flagged(self):
         specs = [spec(1, 1000, 100), spec(2, 2000, 200)]
         for cls in (0, 3, None):
-            bad = AssignmentMultiFreq(
-                bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={} if cls is None else {1: cls}
-            )
-            violations = verify_multifreq(specs, bad)
-            assert [(v.kind, v.indices) for v in violations] == [("assignment", (0, 1))]
+            bad = AssignmentMultiFreq(placement=(None, (0, cls)))
+            with pytest.raises(InvalidAssignmentError, match="slot class"):
+                realize_phases_multifreq(specs, bad)
 
     def test_overfilled_slot_flagged(self):
         specs = [spec(1, 1000, 600), spec(2, 1000, 500)]
-        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 1})
-        violations = verify_multifreq(specs, bad)
-        assert any(v.kind == "slot-capacity" and v.indices[:2] == (0, 1) for v in violations)
+        bad = AssignmentMultiFreq(placement=(None, (0, 1)))
+        with pytest.raises(InvalidAssignmentError, match="no free offset"):
+            realize_phases_multifreq(specs, bad)
 
-    def test_unhosted_item_flagged(self):
+    def test_overfilled_shared_slot_of_mixed_ratios_flagged(self):
+        # classes 1 (ratio 2) and 3 (ratio 4) meet in slots 3, 7, ...: 30 + 30
+        # ticks in an off-width of 50; each item alone would fit
+        specs = [spec("b", 100, 50), spec("x", 200, 30), spec("y", 400, 30)]
+        bad = AssignmentMultiFreq(placement=(None, (0, 1), (0, 3)))
+        with pytest.raises(InvalidAssignmentError, match="no free offset"):
+            realize_phases_multifreq(specs, bad)
+        # class 2 of y never meets class 1 of x, so the same loads realize
+        good = AssignmentMultiFreq(placement=(None, (0, 1), (0, 2)))
+        assert_bins_at_unit_level(specs, good, realize_phases_multifreq(specs, good))
+
+    def test_non_multiple_period_flagged(self):
+        specs = [spec(1, 1000, 100), spec(2, 1500, 100)]
+        bad = AssignmentMultiFreq(placement=(None, (0, 1)))
+        with pytest.raises(InvalidAssignmentError, match="no multiple"):
+            realize_phases_multifreq(specs, bad)
+
+    def test_host_out_of_range_flagged(self):
         specs = [spec(1, 1000, 100), spec(2, 1000, 100)]
-        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={}, slot_class={})
-        violations = verify_multifreq(specs, bad)
-        assert any(v.kind == "assignment" and v.indices == (1,) for v in violations)
+        for host in (2, -1, None):
+            bad = AssignmentMultiFreq(placement=(None, (host, 1)))
+            with pytest.raises(InvalidAssignmentError, match="not a bin"):
+                realize_phases_multifreq(specs, bad)
+
+    def test_placement_of_wrong_length_flagged(self):
+        specs = [spec(1, 1000, 100), spec(2, 1000, 100)]
+        for placement in ((None,), (None, (0, 1), None)):
+            with pytest.raises(InvalidAssignmentError, match="entries"):
+                realize_phases_multifreq(specs, AssignmentMultiFreq(placement=placement))
 
 
 @st.composite
@@ -317,8 +341,8 @@ def nested_fleets(draw):
 @given(nested_fleets())
 def test_solver_matches_brute_force_lex_min(specs):
     a = solve_multifreq(specs)
-    assert (a.bin_flags, a.bin_of_item) == oracle_lex_min_bins(specs)
-    assert verify_multifreq(specs, a) == []
+    assert (a.bin_flags, bins_of(a)) == oracle_lex_min_bins(specs)
+    assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
 
 @st.composite
@@ -341,6 +365,40 @@ def mixed_ratio_groups(draw):
 @given(mixed_ratio_groups())
 def test_realization_fails_loudly_or_never_overlaps(specs):
     a = solve_multifreq(specs)
+    try:
+        realized = realize_phases_multifreq(specs, a)
+    except InvalidAssignmentError:
+        return
+    assert_bins_at_unit_level(specs, a, realized)
+
+
+@st.composite
+def structurally_valid_assignments(draw):
+    """A mixed-ratio group and a placement that passes every structural check.
+
+    Each item gets a random bin whose period divides its own and a random
+    class in 1..R, with no regard to widths, so slots are often over-full.
+    A load drawn as an item with no possible host becomes a bin.
+    """
+    specs = draw(mixed_ratio_groups())
+    flags = draw(st.lists(st.booleans(), min_size=len(specs), max_size=len(specs)))
+    bins = [i for i, f in enumerate(flags) if f] or [0]
+    placement = []
+    for j, item in enumerate(specs):
+        hosts = [b for b in bins if b != j and item.period % specs[b].period == 0]
+        if j in bins or not hosts:
+            placement.append(None)
+            continue
+        b = draw(st.sampled_from(hosts))
+        placement.append((b, draw(st.integers(1, item.period // specs[b].period))))
+    return specs, AssignmentMultiFreq(placement=tuple(placement))
+
+
+@seed(20266)
+@settings(max_examples=200, deadline=None, database=None)
+@given(structurally_valid_assignments())
+def test_any_valid_placement_raises_or_realizes_at_unit_level(drawn):
+    specs, a = drawn
     try:
         realized = realize_phases_multifreq(specs, a)
     except InvalidAssignmentError:

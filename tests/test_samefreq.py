@@ -1,9 +1,10 @@
-"""Equal-period loads through the one solver: exact solve, verification, realization."""
+"""Equal-period loads through the one solver: exact solve and checked realization."""
 import random
 from fractions import Fraction
 
 import pytest
 from helpers import (
+    assert_bins_at_unit_level,
     oracle_min_bins_samefreq,
     random_samefreq_fleet,
     samefreq_subset_feasible,
@@ -18,7 +19,6 @@ from pulsesched import (
     aggregate_profile,
     realize_phases_samefreq,
     solve_samefreq,
-    verify_samefreq,
 )
 
 SCENARIO1_DUTIES = (50, 50, 80, 30, 60, 40, 50, 60, 50, 90)
@@ -42,29 +42,26 @@ class TestSolve:
         assignment = solve_samefreq(specs)
         assert assignment.bins_used == 6
         assert assignment.bins_used == oracle_min_bins_samefreq(specs)
-        assert verify_samefreq(specs, assignment) == []
+        assert_bins_at_unit_level(specs, assignment, realize_phases_samefreq(specs, assignment))
 
     def test_two_half_duty_loads_share_one_bin(self):
         specs = [spec(1, 1000, 500), spec(2, 1000, 500)]
         assignment = solve_samefreq(specs)
         assert assignment.bins_used == 1 == oracle_min_bins_samefreq(specs)
         assert assignment.bin_flags == (0, 1)
-        assert assignment.bin_of_item == {0: 1}
-        assert assignment.slot_class == {0: 1}
+        assert assignment.placement == ((1, 1), None)
 
     def test_single_load_is_its_own_bin(self):
         assignment = solve_samefreq([spec(1, 1000, 400)])
         assert assignment.bins_used == 1
         assert assignment.bin_flags == (1,)
-        assert assignment.bin_of_item == {}
+        assert assignment.placement == (None,)
 
     def test_mixed_periods_rejected(self):
         specs = [spec(1, 1000, 400), spec(2, 2000, 400)]
         with pytest.raises(MixedFrequencyError):
             solve_samefreq(specs)
-        assignment = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 1})
-        with pytest.raises(MixedFrequencyError):
-            verify_samefreq(specs, assignment)
+        assignment = AssignmentMultiFreq(placement=(None, (0, 1)))
         with pytest.raises(MixedFrequencyError):
             realize_phases_samefreq(specs, assignment)
 
@@ -82,7 +79,7 @@ class TestSolve:
             specs = random_samefreq_fleet(rng, rng.randrange(1, 8))
             assignment = solve_samefreq(specs)
             assert assignment.bins_used == oracle_min_bins_samefreq(specs)
-            assert verify_samefreq(specs, assignment) == []
+            assert_bins_at_unit_level(specs, assignment, realize_phases_samefreq(specs, assignment))
 
     def test_lower_bound_property(self):
         rng = random.Random(103)
@@ -118,7 +115,7 @@ class TestSolve:
                     room[b] -= specs[j].on_width
                 if all(r >= 0 for r in room.values()):
                     best = mapping if best is None else min(best, mapping)
-            assert tuple(a.bin_of_item[j] for j in items) == best
+            assert tuple(a.placement[j][0] for j in items) == best
 
 
 class TestRealize:
@@ -136,9 +133,7 @@ class TestRealize:
             spec("w3", 1000000, 300000),
             spec("w2", 1000000, 200000),
         ]
-        assignment = AssignmentMultiFreq(
-            bin_flags=(1, 0, 0), bin_of_item={1: 0, 2: 0}, slot_class={1: 1, 2: 1}
-        )
+        assignment = AssignmentMultiFreq(placement=(None, (0, 1), (0, 1)))
         realized = realize_phases_samefreq(specs, assignment)
         assert realized[1].phase == 300000
         assert realized[2].phase == 600000
@@ -158,7 +153,7 @@ class TestRealize:
 
     def test_capacity_violation_raises(self):
         specs = [spec(1, 1000, 600), spec(2, 1000, 500)]
-        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 1})
+        bad = AssignmentMultiFreq(placement=(None, (0, 1)))
         with pytest.raises(InvalidAssignmentError):
             realize_phases_samefreq(specs, bad)
 
@@ -168,45 +163,28 @@ class TestRealize:
             specs = random_samefreq_fleet(rng, rng.randrange(2, 7))
             assignment = solve_samefreq(specs)
             realized = realize_phases_samefreq(specs, assignment)
-            hosted: dict[int, list[int]] = {}
-            for j, b in assignment.bin_of_item.items():
-                hosted.setdefault(b, []).append(j)
-            for b, js in hosted.items():
-                group = [realized[i] for i in (b, *js)]
-                unit = [PulseSpec(g.id, 1, g.period, g.on_width, g.phase) for g in group]
-                assert max(aggregate_profile(unit).levels) <= 1
+            assert_bins_at_unit_level(specs, assignment, realized)
 
 
 class TestVerify:
+    """Realization is the one check of an assignment: it rejects what it cannot place."""
+
     def test_solver_output_is_clean(self):
         rng = random.Random(109)
         for _ in range(20):
             specs = random_samefreq_fleet(rng, rng.randrange(1, 7))
-            assert verify_samefreq(specs, solve_samefreq(specs)) == []
+            assignment = solve_samefreq(specs)
+            assert_bins_at_unit_level(specs, assignment, realize_phases_samefreq(specs, assignment))
 
     def test_item_wider_than_bin_off_interval(self):
         specs = [spec(1, 1000, 600), spec(2, 1000, 500)]
-        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={1: 0}, slot_class={1: 1})
-        violations = verify_samefreq(specs, bad)
-        # bin 0's single slot (1) holds item 1
-        assert any(v.kind == "slot-capacity" and v.indices == (0, 1, 1) for v in violations)
-
-    def test_unplaced_item_flagged(self):
-        specs = [spec(1, 1000, 500), spec(2, 1000, 400)]
-        bad = AssignmentMultiFreq(bin_flags=(1, 0), bin_of_item={}, slot_class={})
-        violations = verify_samefreq(specs, bad)
-        assert any(v.kind == "assignment" and v.indices == (1,) for v in violations)
-
-    def test_bin_placed_as_item_flagged(self):
-        specs = [spec(1, 1000, 500), spec(2, 1000, 400)]
-        bad = AssignmentMultiFreq(bin_flags=(1, 1), bin_of_item={1: 0}, slot_class={1: 1})
-        violations = verify_samefreq(specs, bad)
-        assert any(v.kind == "assignment" and v.indices == (1,) for v in violations)
+        bad = AssignmentMultiFreq(placement=(None, (0, 1)))
+        # bin 0's single slot holds item 1, which finds no offset there
+        with pytest.raises(InvalidAssignmentError, match="no free offset"):
+            realize_phases_samefreq(specs, bad)
 
     def test_item_hosted_by_non_bin_flagged(self):
         specs = [spec(1, 1000, 500), spec(2, 1000, 400), spec(3, 1000, 300)]
-        bad = AssignmentMultiFreq(
-            bin_flags=(1, 0, 0), bin_of_item={1: 2, 2: 0}, slot_class={1: 1, 2: 1}
-        )
-        violations = verify_samefreq(specs, bad)
-        assert any(v.kind == "assignment" and v.indices == (1,) for v in violations)
+        bad = AssignmentMultiFreq(placement=(None, (2, 1), (0, 1)))
+        with pytest.raises(InvalidAssignmentError, match="not a bin"):
+            realize_phases_samefreq(specs, bad)
