@@ -1,11 +1,13 @@
 """Batch front-end: simulate, schedule, or power-plan a scenario file.
 
 Exit codes: 0 success, 2 scenario validation failure (a quantity's decimal
-exponent beyond ±files.MAX_EXPONENT included), 4 missing soc/voltage fields
-in plan-power, 3 any other scheduling error or ValueError: an infeasible
-schedule/plan, a duty de-rating whose scaled on-widths fall off the tick
-grid, a hyperperiod beyond the tick range, a waveform sweep above its edge
-budget. Each failure prints one `error:` line to stderr.
+exponent beyond ±files.MAX_EXPONENT, a mantissa or "p/q" side of more than
+files.MAX_DIGITS digits, and JSON nested too deeply to parse included), 4
+missing soc/voltage fields in plan-power, 3 any other scheduling error or
+ValueError: an infeasible schedule/plan, a duty de-rating whose scaled
+on-widths fall off the tick grid, a hyperperiod beyond the tick range, a
+waveform sweep above its edge budget. Each failure prints one `error:` line
+to stderr.
 """
 from __future__ import annotations
 

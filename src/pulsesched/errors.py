@@ -46,10 +46,11 @@ class NotOverLimitError(PulseSchedError):
 
 
 class InfeasibleError(PulseSchedError):
-    """No assignment satisfies the packing constraints.
+    """A fleet could not be scheduled.
 
-    `groups` carries the 1-based indices of the affected groups when the
-    error is raised fleet-wide.
+    `schedule_fleet` raises it, unless allow_partial is set, when the phase
+    realization of one or more groups fails; `groups` carries their 1-based
+    indices.
     """
 
     def __init__(self, message: str, groups: tuple = ()):

@@ -64,17 +64,25 @@ def _ratio_str(num: int, den: int) -> str:
     return seconds_str(micros)
 
 
-# Largest decimal exponent a quantity may carry, checked before a Fraction
-# is built: Fraction("1e3000000") alone takes about 1 s.
+# Largest decimal exponent a quantity may carry, and most digits its
+# mantissa or either side of its "p/q" may have, checked before a Fraction is
+# built: Fraction("1e3000000") alone takes about 1 s, and Python refuses to
+# print an int of more than 4300 digits. A value at both bounds still prints.
 MAX_EXPONENT = 1000
+MAX_DIGITS = 1000
 _EXPONENT = re.compile(r"e[-+]?0*(\d+)", re.IGNORECASE)
 
 
 def _bounded(text: str, where: str) -> str:
-    """`text` itself, unless it carries a decimal exponent beyond ±MAX_EXPONENT."""
-    match = _EXPONENT.search(text.replace("_", ""))
+    """`text` itself, unless its decimal exponent or its digit count is out of bounds."""
+    plain = text.replace("_", "")
+    match = _EXPONENT.search(plain)
     if match and (len(match[1]) > len(str(MAX_EXPONENT)) or int(match[1]) > MAX_EXPONENT):
         raise ScenarioError(f"{where}: exponent of {text[:40]!r} lies beyond ±{MAX_EXPONENT}")
+    if len(plain) > MAX_DIGITS:
+        mantissa = plain[: match.start()] if match else plain
+        if any(sum(map(str.isdigit, side)) > MAX_DIGITS for side in mantissa.split("/")):
+            raise ScenarioError(f"{where}: {text[:40]!r}... has more than {MAX_DIGITS} digits")
     return text
 
 
@@ -106,10 +114,13 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(
             text,
             parse_float=lambda s: Fraction(Decimal(_bounded(s, path))),
+            parse_int=lambda s: int(_bounded(s, path)),
             parse_constant=lambda s: (_ for _ in ()).throw(ValueError(s)),
         )
     except ValueError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: invalid JSON: nested too deeply") from exc
 
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be an object")
@@ -325,8 +336,13 @@ def waveform_svg(profile: StepProfile, title: str) -> str:
     span_y = height - top - bottom
     bps, scaled, den = profile.breakpoints, profile.scaled, profile.denominator
     top_level = max(Fraction(max(scaled), den), Fraction(1))
+    # levels past 2**1000 are drawn over den * 2**shift, so float() cannot
+    # overflow; a power of two changes no rounding, and below 2**1000 shift
+    # is 0, so those charts keep their bytes
+    shift = max(0, top_level.numerator.bit_length() - top_level.denominator.bit_length() - 1000)
+    den <<= shift
     scale_x = span_x / profile.hyperperiod
-    scale_y = span_y / float(top_level * Fraction(11, 10))
+    scale_y = span_y / float(top_level * Fraction(11, 10) / (1 << shift))
 
     # v / den is correctly rounded, so it equals float(Fraction(v, den));
     # each distinct level and each breakpoint is formatted once

@@ -15,10 +15,11 @@ slot, and its off-interval holds a set of items iff their widths fit.
 The solver minimizes the number of bin-type loads. It enumerates bin
 subsets in ascending size from the admissible lower bound ceil(sum of
 duties), in an order that makes the first feasible subset the
-lexicographically smallest bin-flag vector; per subset a host check comes
-first, first-fit-decreasing is the quick accept and a complete backtracking
-search the exact fallback. Among the optima it then picks the smallest bin
-per item in input order, then the smallest slot class per item.
+lexicographically smallest bin-flag vector. Per subset a host check comes
+first, then one complete backtracking search whose first descent is first
+fit: items bound to one bin first, then by descending width, each trying
+its hosts by bin index. Among the optima it then picks the smallest bin per
+item in input order, then the smallest slot class per item.
 
 An assignment stores one placement per load: None for a bin, else the
 item's host bin and slot class. Realization is the one check after the
@@ -70,7 +71,8 @@ class _Packer:
     The slots of all loads share one flat list: load i owns the entries from
     base[i] to base[i + 1]. A load that is not a bin of the current subset
     has zero free capacity, so no item fits it. An option is one host of an
-    item: (bin, its first slot, its end, the slots of each class).
+    item: (bin, its first slot, its end, the slots of each class); each
+    item's options are listed by bin index.
     """
 
     def __init__(self, specs: list[PulseSpec]):
@@ -78,8 +80,7 @@ class _Packer:
         counts = [t_lcm // s.period for s in specs]
         self.base = base = list(accumulate(counts, initial=0))
         self.full = [s.off_width for s, c in zip(specs, counts) for _ in range(c)]
-        # per item: (width, options by bin, options widest off-interval first)
-        self.entries = []
+        self.entries = []  # per item: (width, options)
         for j, item in enumerate(specs):
             options = [
                 (b, base[b], base[b + 1], [range(base[b] + c, base[b + 1], r) for c in range(r)])
@@ -87,8 +88,7 @@ class _Packer:
                 if b != j and check_groupability(host, item)
                 for r in (item.period // host.period,)
             ]
-            widest = sorted(options, key=lambda o: (-specs[o[0]].off_width, o[0]))
-            self.entries.append((item.on_width, options, widest))
+            self.entries.append((item.on_width, options))
         self.host_masks = [sum(1 << o[0] for o in entry[1]) for entry in self.entries]
         self.by_width = sorted(range(len(specs)), key=lambda j: (-specs[j].on_width, j))
         # the bins' free capacity covers the items' work (width times pulse
@@ -110,124 +110,92 @@ class _Packer:
             free[base[j] : base[j + 1]] = [0] * (base[j + 1] - base[j])
         return free
 
-    def packs(self, free: list[int], pending: dict[int, tuple], pinned: dict[int, tuple]) -> bool:
+    def packs(self, free: list[int], pending: dict[int, tuple]) -> bool:
         """Whether every pending item can be placed into `free`, which is left as it was.
 
-        `pending` maps each item to its (width, options, first-fit options);
-        a pinned item has its bin's option only, and that bin is never
-        treated as interchangeable with another.
+        `pending` maps each item to its (width, options); an item pinned to
+        one bin has that bin's option only. Items with one option are
+        searched first, the others by descending width, so no item with a
+        restricted choice follows the node where `_search` merges equal bins.
         """
         todo = [pending[j] for j in self.by_width if j in pending]
-        pinned_bins = frozenset(option[0] for option in pinned.values())
-        return _first_fit(free[:], todo) or _search(free, todo, 0, pinned_bins)
+        todo.sort(key=lambda entry: len(entry[1]) > 1)
+        return _search(free, todo, 0)
 
     def lex_min(self, items: tuple[int, ...], free: list[int]) -> dict[int, tuple[int, int]]:
         """Each item's (bin, slot class): smallest bin in input order, then smallest class.
 
-        Each choice is kept only if the remaining items still pack. An item
-        whose bin leaves it a single slot class has its load committed at
-        once; the others stay pinned to their bin until the class pass.
+        Pass 1 pins each item to its smallest bin that still lets every item
+        pack; pass 2 commits each item's smallest slot class that does.
         """
         pending = {j: self.entries[j] for j in items}
-        pinned: dict[int, tuple] = {}
-        placed: dict[int, tuple[int, int]] = {}
         for j in items:
-            w = pending.pop(j)[0]
-            for option in self.entries[j][1]:
-                b, _, _, classes = option
-                if len(classes) == 1:
-                    if self._commit(free, classes[0], w, pending, pinned):
-                        placed[j] = (b, 1)
-                        break
-                else:
-                    pending[j] = (w, [option], [option])
-                    pinned[j] = option
-                    if self.packs(free, pending, pinned):
-                        break
-                    del pending[j], pinned[j]
+            w, options = pending[j]
+            for option in options:
+                pending[j] = (w, [option])
+                if self.packs(free, pending):
+                    break
             else:
                 raise AssertionError("unreachable: subset was verified packable")
-        for j, (b, _, _, classes) in list(pinned.items()):
-            w = pending.pop(j)[0]
-            del pinned[j]
+        placed: dict[int, tuple[int, int]] = {}
+        for j in items:
+            w, [(b, _, _, classes)] = pending.pop(j)
             for c, slots in enumerate(classes, 1):
-                if self._commit(free, slots, w, pending, pinned):
+                if self._commit(free, slots, w, pending):
                     placed[j] = (b, c)
                     break
             else:
                 raise AssertionError("unreachable: placement was verified packable")
         return placed
 
-    def _commit(self, free: list[int], slots: range, w: int, pending: dict, pinned: dict) -> bool:
+    def _commit(self, free: list[int], slots: range, w: int, pending: dict) -> bool:
         """Take w from every slot in `slots` if it fits and the pending items still pack."""
         if any(free[k] < w for k in slots):
             return False
         for k in slots:
             free[k] -= w
-        if self.packs(free, pending, pinned):
+        if self.packs(free, pending):
             return True
         for k in slots:
             free[k] += w
         return False
 
 
-def _first_fit(free: list[int], todo: list) -> bool:
-    """First fit in decreasing width; success proves packability, failure proves nothing."""
-    for w, _, options in todo:
-        for _, first, stop, classes in options:
-            if stop - first == 1:
-                if free[first] >= w:
-                    free[first] -= w
-                    break
-                continue
-            for slots in classes:
-                if all(free[k] >= w for k in slots):
-                    for k in slots:
-                        free[k] -= w
-                    break
-            else:
-                continue
-            break
-        else:
-            return False
-    return True
+def _search(free: list[int], todo: list, pos: int) -> bool:
+    """Complete backtracking over (bin, slot class) for todo[pos:], in option order.
 
-
-def _search(free: list[int], todo: list, pos: int, pinned_bins: frozenset) -> bool:
-    """Complete backtracking over (bin, slot class) for todo[pos:].
-
-    Bins with equal free-slot vectors (and so equal periods) are
-    interchangeable unless an item is pinned to one of them, so only the
-    first of them is tried at each node. Single-slot bins host only items
-    of ratio 1, which are never pinned.
+    Its first descent is first fit in the order of `todo`. Bins with equal
+    free-slot vectors have equal periods and host every later item that
+    still fits either of them, so only the first of them is tried at each
+    node: `packs` puts every item bound to one bin before any item that
+    could choose.
     """
     if pos == len(todo):
         return True
-    w, options, _ = todo[pos]
+    w, options = todo[pos]
     tried = set()
-    for b, first, stop, classes in options:
+    for _, first, stop, classes in options:
         if stop - first == 1:  # a single slot: its free capacity is the key
             cap = free[first]
             if cap < w or cap in tried:
                 continue
             tried.add(cap)
             free[first] = cap - w
-            done = _search(free, todo, pos + 1, pinned_bins)
+            done = _search(free, todo, pos + 1)
             free[first] = cap
             if done:
                 return True
             continue
-        if b not in pinned_bins:
-            key = tuple(free[first:stop])
-            if key in tried:
-                continue
-            tried.add(key)
+        key = tuple(free[first:stop])
+        if key in tried:
+            continue
+        tried.add(key)
         for slots in classes:
             if any(free[k] < w for k in slots):
                 continue
             for k in slots:
                 free[k] -= w
-            done = _search(free, todo, pos + 1, pinned_bins)
+            done = _search(free, todo, pos + 1)
             for k in slots:
                 free[k] += w
             if done:
@@ -253,7 +221,7 @@ def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
             free = packer.free_for(items)
             if free is None:
                 continue
-            if not packer.packs(free, {j: packer.entries[j] for j in items}, {}):
+            if not packer.packs(free, {j: packer.entries[j] for j in items}):
                 continue
             placed = packer.lex_min(items, free)
             return AssignmentMultiFreq(placement=tuple(placed.get(i) for i in range(n)))

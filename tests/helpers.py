@@ -149,8 +149,14 @@ def oracle_min_bins_multifreq(specs: list[PulseSpec]) -> int:
     return best
 
 
-def _classes_fit(specs: list[PulseSpec], bin_of: dict[int, int], t_lcm: int) -> bool:
-    """Whether the mapped items can each take one slot class without overfilling a slot."""
+def _classes_fit(
+    specs: list[PulseSpec], bin_of: dict[int, int], t_lcm: int, fixed: dict[int, int] | None = None
+) -> bool:
+    """Whether the mapped items can each take one slot class without overfilling a slot.
+
+    Items in `fixed` keep their given class (1-based).
+    """
+    fixed = fixed or {}
     items = sorted(bin_of)
     loads = {b: [0] * (t_lcm // specs[b].period) for b in bin_of.values()}
 
@@ -162,7 +168,7 @@ def _classes_fit(specs: list[PulseSpec], bin_of: dict[int, int], t_lcm: int) -> 
         w = specs[j].on_width
         ratio = specs[j].period // specs[b].period
         slots = loads[b]
-        for cls in range(ratio):
+        for cls in (fixed[j] - 1,) if j in fixed else range(ratio):
             hit = range(cls, len(slots), ratio)
             if all(slots[k] + w <= specs[b].off_width for k in hit):
                 for k in hit:
@@ -177,12 +183,16 @@ def _classes_fit(specs: list[PulseSpec], bin_of: dict[int, int], t_lcm: int) -> 
     return assign(0)
 
 
-def oracle_lex_min_bins(specs: list[PulseSpec]) -> tuple[tuple[int, ...], dict[int, int]]:
-    """Smallest optimal bin-flag vector, then smallest item->bin vector.
+def oracle_lex_min_bins(
+    specs: list[PulseSpec],
+) -> tuple[tuple[int, ...], dict[int, int], dict[int, int]]:
+    """Smallest optimal bin-flag vector, then item->bin vector, then item->class vector.
 
     The flags are the minimum over every feasible subset of the minimum
     size; the item->bin vector is the first complete mapping, in input
-    order with bins ascending, for which slot classes exist.
+    order with bins ascending, for which slot classes exist; each item in
+    input order then takes the smallest class (1-based) that leaves classes
+    for the items after it.
     """
     n = len(specs)
     t_lcm = math.lcm(*(s.period for s in specs))
@@ -212,7 +222,13 @@ def oracle_lex_min_bins(specs: list[PulseSpec]) -> tuple[tuple[int, ...], dict[i
         return False
 
     assert choose(0)
-    return flags, bin_of
+    class_of: dict[int, int] = {}
+    for j in items:
+        ratio = specs[j].period // specs[bin_of[j]].period
+        class_of[j] = next(
+            c for c in range(1, ratio + 1) if _classes_fit(specs, bin_of, t_lcm, {**class_of, j: c})
+        )
+    return flags, bin_of, class_of
 
 
 def random_samefreq_fleet(rng, n: int, period: int = 60) -> list[PulseSpec]:

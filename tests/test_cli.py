@@ -4,13 +4,14 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from xml.dom import minidom
 
 import pytest
 
 import pulsesched
-from pulsesched import MixedFrequencyError, cli
+from pulsesched import MixedFrequencyError, cli, files
 from pulsesched.cli import main
 
 SCENARIOS = Path(pulsesched.__file__).parent / "scenarios"
@@ -191,6 +192,46 @@ class TestErrorContract:
         assert run(["simulate", sc, "--out", tmp_path]) == 2
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "raw", ['"1' + "0" * 4000 + 'e300"', "1" + "0" * 4000 + "e300"], ids=["string", "number"]
+    )
+    def test_oversized_digit_count_exits_2_before_any_output(self, tmp_path, capsys, raw):
+        sc = tmp_path / "long.json"
+        sc.write_text(
+            f'{{"loads": [{{"id": 1, "amplitude_a": {raw}, "frequency_hz": 10, "duty_pct": 50, "phase_s": 0}}]}}'
+        )
+        assert run(["simulate", sc, "--out", tmp_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "digits" in err and err.count("\n") == 1
+
+    def test_amplitude_at_both_bounds_simulates(self, tmp_path, capsys):
+        raw = "9" * files.MAX_DIGITS + f"e{files.MAX_EXPONENT}"
+        sc = tmp_path / "edge.json"
+        sc.write_text(
+            json.dumps(
+                {
+                    "loads": [
+                        {"id": 1, "amplitude_a": raw, "frequency_hz": 10, "duty_pct": 50, "phase_s": 0},
+                        {"id": 2, "amplitude_a": raw, "frequency_hz": 5, "duty_pct": 20, "phase_s": 0},
+                    ]
+                }
+            )
+        )
+        assert run(["simulate", sc, "--out", tmp_path, "--csv", "--svg"]) == 0
+        assert capsys.readouterr().err == ""
+        minidom.parse(str(tmp_path / "edge.waveform.svg"))
+        metrics = json.loads((tmp_path / "edge.metrics.json").read_text())
+        assert metrics["max_a"] == str(2 * Fraction(raw))
+
+    def test_deeply_nested_json_exits_2_without_traceback(self, tmp_path, capsys):
+        sc = tmp_path / "deep.json"
+        sc.write_text('{"loads": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert run(["schedule", sc, "--out", tmp_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_markup_in_the_scenario_name_keeps_the_svg_well_formed(self, tmp_path):

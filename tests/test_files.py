@@ -10,6 +10,7 @@ import pytest
 
 from pulsesched import PulseSpec, ScenarioError, aggregate_profile
 from pulsesched.files import (
+    MAX_DIGITS,
     amount_str,
     exact_str,
     load_scenario,
@@ -152,6 +153,36 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize("raw", ['"1e1000"', "1e-1000", '"2.5E+3"'])
     def test_exponent_within_the_bound_parses_exactly(self, tmp_path, raw):
+        sc = amplitude_scenario(tmp_path, raw)
+        assert load_scenario(sc).loads[0].amplitude == Fraction(raw.strip('"'))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '"1' + "0" * MAX_DIGITS + 'e300"',
+            "1" + "0" * MAX_DIGITS + "e300",
+            "1" + "0" * MAX_DIGITS,
+            '"1/3' + "0" * MAX_DIGITS + '"',
+            '"1_' + "0" * MAX_DIGITS + '/3"',
+            '"0.' + "0" * MAX_DIGITS + '1"',
+        ],
+        ids=["string-e300", "number-e300", "integer", "denominator", "underscored", "fraction-digits"],
+    )
+    def test_digits_beyond_the_bound_rejected(self, tmp_path, raw):
+        sc = amplitude_scenario(tmp_path, raw)
+        with pytest.raises(ScenarioError, match="digits"):
+            load_scenario(sc)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '"' + "9" * MAX_DIGITS + 'e1000"',
+            "9" * MAX_DIGITS,
+            '"' + "9" * MAX_DIGITS + "/" + "7" * MAX_DIGITS + '"',
+        ],
+        ids=["string-e1000", "integer", "ratio"],
+    )
+    def test_digits_within_the_bound_parse_exactly(self, tmp_path, raw):
         sc = amplitude_scenario(tmp_path, raw)
         assert load_scenario(sc).loads[0].amplitude == Fraction(raw.strip('"'))
 

@@ -341,7 +341,11 @@ def nested_fleets(draw):
 @given(nested_fleets())
 def test_solver_matches_brute_force_lex_min(specs):
     a = solve_multifreq(specs)
-    assert (a.bin_flags, bins_of(a)) == oracle_lex_min_bins(specs)
+    flags, bin_of, class_of = oracle_lex_min_bins(specs)
+    assert a.bin_flags == flags
+    assert a.placement == tuple(
+        None if flags[i] else (bin_of[i], class_of[i]) for i in range(len(specs))
+    )
     assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
 
