@@ -14,7 +14,6 @@ from .adjust import (
 )
 from .errors import (
     EmptyInputError,
-    InfeasibleError,
     InvalidAssignmentError,
     MissingSocError,
     MissingVoltageError,
@@ -59,7 +58,6 @@ __all__ = [
     "EmptyInputError",
     "Group",
     "GroupPlan",
-    "InfeasibleError",
     "InvalidAssignmentError",
     "MAX_TICK",
     "Metrics",

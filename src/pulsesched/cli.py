@@ -4,10 +4,11 @@ Exit codes: 0 success, 2 scenario validation failure (a quantity's decimal
 exponent beyond ±files.MAX_EXPONENT, a mantissa or "p/q" side of more than
 files.MAX_DIGITS digits, and JSON nested too deeply to parse included), 4
 missing soc/voltage fields in plan-power, 3 any other scheduling error or
-ValueError: an infeasible schedule/plan, a duty de-rating whose scaled
+ValueError: an infeasible power plan, a duty de-rating whose scaled
 on-widths fall off the tick grid, a hyperperiod beyond the tick range, a
 waveform sweep above its edge budget. Each failure prints one `error:` line
-to stderr.
+to stderr. `schedule` schedules every group, so its `--allow-partial` is
+accepted and ignored.
 """
 from __future__ import annotations
 
@@ -69,20 +70,13 @@ def cmd_simulate(args) -> int:
 
 
 def _schedule_rows(fleet: list[PulseSpec], plan: GroupPlan) -> list[dict]:
-    role_by_id: dict = {}
-    group_by_id: dict = {}
-    for group in plan.groups:
-        for pos, load_id in enumerate(group.member_ids):
-            group_by_id[load_id] = group.index
-            is_bin = group.assignment is None or group.assignment.bin_flags[pos]
-            role_by_id[load_id] = "bin" if is_bin else "item"
+    place = {
+        load_id: (group.index, "bin" if is_bin else "item")
+        for group in plan.groups
+        for load_id, is_bin in zip(group.member_ids, group.assignment.bin_flags)
+    }
     return [
-        {
-            "id": s.id,
-            "group": group_by_id[s.id],
-            "role": role_by_id[s.id],
-            "phase_s": seconds_str(s.phase),
-        }
+        {"id": s.id, "group": place[s.id][0], "role": place[s.id][1], "phase_s": seconds_str(s.phase)}
         for s in fleet
     ]
 
@@ -94,18 +88,12 @@ def cmd_schedule(args) -> int:
     stem = Path(args.scenario).stem
 
     before = profile_metrics(aggregate_profile(scenario.loads))
-    fleet, plan = schedule_fleet(scenario.loads, allow_partial=args.allow_partial)
+    fleet, plan = schedule_fleet(scenario.loads)
     after_profile = aggregate_profile(fleet)
     after = profile_metrics(after_profile)
 
-    bins_total = sum(
-        g.assignment.bins_used if g.assignment is not None else len(g.member_ids)
-        for g in plan.groups
-    )
+    bins_total = sum(g.assignment.bins_used for g in plan.groups)
     print(f"groups: {len(plan.groups)}, bin-type loads: {bins_total}")
-    for g in plan.groups:
-        if g.assignment is None and len(g.member_ids) > 1:
-            print(f"group {g.index} left unshifted (no realizable staggering)")
     _print_metrics("before", before)
     _print_metrics("after", after)
 
@@ -174,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument(
         "--allow-partial",
         action="store_true",
-        help="keep unschedulable groups unshifted instead of failing",
+        help="accepted and ignored: every group is scheduled",
     )
     p_sched.set_defaults(func=cmd_schedule)
 

@@ -45,21 +45,14 @@ class NotOverLimitError(PulseSchedError):
     """A de-rating operation was invoked while already at or under the cap."""
 
 
-class InfeasibleError(PulseSchedError):
-    """A fleet could not be scheduled.
-
-    `schedule_fleet` raises it, unless allow_partial is set, when the phase
-    realization of one or more groups fails; `groups` carries their 1-based
-    indices.
-    """
-
-    def __init__(self, message: str, groups: tuple = ()):
-        super().__init__(message)
-        self.groups = groups
-
-
 class InvalidAssignmentError(PulseSchedError):
-    """An assignment fails validation against its loads."""
+    """An assignment fails validation against its loads.
+
+    Realization raises it for a malformed placement or for an item the
+    lowest-offset rule leaves without an offset; the solver, which returns
+    only placements that realize, takes the latter as its cue to try the
+    next bin subset.
+    """
 
 
 class NoAdmissibleError(PulseSchedError):

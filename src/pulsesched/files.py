@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 import tempfile
 from dataclasses import dataclass
 from decimal import Decimal
@@ -23,7 +22,8 @@ from pathlib import Path
 
 from .errors import NonRepresentableTimeError, ScenarioError
 from .power import MODES
-from .ticks import TICKS_PER_SECOND, seconds_str, ticks_from_seconds
+from .ticks import MAX_DIGITS, MAX_EXPONENT  # noqa: F401  the bounds of a scenario's quantities
+from .ticks import TICKS_PER_SECOND, bounded_text, seconds_str, ticks_from_seconds
 from .waveform import Metrics, PulseSpec, StepProfile, load_sort_key
 
 
@@ -64,26 +64,12 @@ def _ratio_str(num: int, den: int) -> str:
     return seconds_str(micros)
 
 
-# Largest decimal exponent a quantity may carry, and most digits its
-# mantissa or either side of its "p/q" may have, checked before a Fraction is
-# built: Fraction("1e3000000") alone takes about 1 s, and Python refuses to
-# print an int of more than 4300 digits. A value at both bounds still prints.
-MAX_EXPONENT = 1000
-MAX_DIGITS = 1000
-_EXPONENT = re.compile(r"e[-+]?0*(\d+)", re.IGNORECASE)
-
-
 def _bounded(text: str, where: str) -> str:
-    """`text` itself, unless its decimal exponent or its digit count is out of bounds."""
-    plain = text.replace("_", "")
-    match = _EXPONENT.search(plain)
-    if match and (len(match[1]) > len(str(MAX_EXPONENT)) or int(match[1]) > MAX_EXPONENT):
-        raise ScenarioError(f"{where}: exponent of {text[:40]!r} lies beyond ±{MAX_EXPONENT}")
-    if len(plain) > MAX_DIGITS:
-        mantissa = plain[: match.start()] if match else plain
-        if any(sum(map(str.isdigit, side)) > MAX_DIGITS for side in mantissa.split("/")):
-            raise ScenarioError(f"{where}: {text[:40]!r}... has more than {MAX_DIGITS} digits")
-    return text
+    """`text` itself, unless ticks.bounded_text refuses it; the error names the field."""
+    try:
+        return bounded_text(text)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _parse_exact(raw, where: str) -> Fraction:
@@ -107,9 +93,11 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate one scenario file; errors are anchored to file and field."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8: {exc}") from exc
     try:
         doc = json.loads(
             text,

@@ -4,14 +4,14 @@ Groups are formed greedily: the highest-frequency unassigned load anchors a
 group and pulls in every unassigned load whose period is an integer multiple
 of the anchor's (equivalently, whose frequency divides the anchor's). Every
 group of two or more loads is solved by the hyperperiod model, through its
-same-period entry points when the group has one period; singletons pass
-through untouched.
+same-period entry points when the group has one period, and its solution
+always realizes; a singleton is its own bin and keeps its phase.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import EmptyInputError, InfeasibleError, InvalidAssignmentError
+from .errors import EmptyInputError
 from .multifreq import (
     AssignmentMultiFreq,
     realize_phases_multifreq,
@@ -24,7 +24,10 @@ from .waveform import LoadId, PulseSpec, load_sort_key
 
 @dataclass(frozen=True)
 class Group:
-    """One schedulable group: 1-based creation index, anchor, members in input order."""
+    """One schedulable group: 1-based creation index, anchor, members in input order.
+
+    `assignment` is None until `schedule_fleet` solves the group.
+    """
 
     index: int
     anchor_id: LoadId
@@ -65,49 +68,29 @@ def partition_by_frequency(specs: list[PulseSpec]) -> GroupPlan:
     return GroupPlan(groups=tuple(groups))
 
 
-def schedule_fleet(
-    specs: list[PulseSpec], allow_partial: bool = False
-) -> tuple[list[PulseSpec], GroupPlan]:
+def schedule_fleet(specs: list[PulseSpec]) -> tuple[list[PulseSpec], GroupPlan]:
     """Partition, solve, and realize the whole fleet.
 
-    Returns the realized specs sorted by load id plus the solved plan. A group
-    whose phase realization fails is left unshifted; without
-    allow_partial the failures are re-raised tagged with their group indices
-    after the other groups finished.
+    Returns the realized specs sorted by load id plus the plan with every
+    group's assignment; a singleton group's is AssignmentMultiFreq((None,)).
     """
     plan = partition_by_frequency(specs)
     by_id = {s.id: s for s in specs}
-    realized: dict[LoadId, PulseSpec] = dict(by_id)
+    fleet: list[PulseSpec] = []
     solved: list[Group] = []
-    failures: list[tuple[int, Exception]] = []
 
     for group in plan.groups:
         members = [by_id[i] for i in group.member_ids]
         if len(members) == 1:
-            solved.append(group)
-            continue
-        try:
-            if len({m.period for m in members}) == 1:
-                assignment = solve_samefreq(members)
-                placed = realize_phases_samefreq(members, assignment)
-            else:
-                assignment = solve_multifreq(members)
-                placed = realize_phases_multifreq(members, assignment)
-        except InvalidAssignmentError as exc:
-            failures.append((group.index, exc))
-            solved.append(group)
-            continue
-        for spec in placed:
-            realized[spec.id] = spec
+            assignment = AssignmentMultiFreq(placement=(None,))
+        elif len({m.period for m in members}) == 1:
+            assignment = solve_samefreq(members)
+            members = realize_phases_samefreq(members, assignment)
+        else:
+            assignment = solve_multifreq(members)
+            members = realize_phases_multifreq(members, assignment)
+        fleet += members
         solved.append(replace(group, assignment=assignment))
 
-    fleet = sorted(realized.values(), key=lambda s: load_sort_key(s.id))
-    solved_plan = GroupPlan(groups=tuple(solved))
-    if failures and not allow_partial:
-        indices = tuple(i for i, _ in failures)
-        raise InfeasibleError(
-            f"groups {indices} could not be scheduled: "
-            + "; ".join(str(e) for _, e in failures),
-            groups=indices,
-        )
-    return fleet, solved_plan
+    fleet.sort(key=lambda s: load_sort_key(s.id))
+    return fleet, GroupPlan(groups=tuple(solved))

@@ -12,21 +12,22 @@ applies per slot: the widths of items sharing a slot must fit the bin's
 off-width. Loads that share one period are the case R = 1: each bin has one
 slot, and its off-interval holds a set of items iff their widths fit.
 
+An assignment stores one placement per load: None for a bin, else the
+item's host bin and slot class. One offset rule realizes a placement: by
+descending width, each item takes the lowest offset in its bin's
+off-interval that clears every item it shares a slot with, in every slot it
+occupies. When a bin mixes ratios, per-slot capacity alone does not
+guarantee such offsets.
+
 The solver minimizes the number of bin-type loads. It enumerates bin
 subsets in ascending size from the admissible lower bound ceil(sum of
-duties), in an order that makes the first feasible subset the
-lexicographically smallest bin-flag vector. Per subset a host check comes
-first, then one complete backtracking search whose first descent is first
-fit: items bound to one bin first, then by descending width, each trying
-its hosts by bin index. Among the optima it then picks the smallest bin per
-item in input order, then the smallest slot class per item.
-
-An assignment stores one placement per load: None for a bin, else the
-item's host bin and slot class. Realization is the one check after the
-solver: it gives each item one offset in its bin's off-interval, kept in
-every slot it occupies, so a realized bin proves every slot within
-capacity. When a bin mixes ratios, per-slot capacity alone does not
-guarantee that its first fit finds such offsets.
+duties), in lexicographic order of the bin-flag vector. Per subset a host
+check comes first, then one complete backtracking search whose first
+descent is first fit: items bound to one bin first, then by descending
+width, each trying its hosts by bin index. For a subset that packs it picks
+the smallest bin per item in input order, then the smallest slot class,
+and returns that placement if the offset rule realizes it, else moves on;
+the all-bins subset has no items, so its answer always realizes.
 """
 from __future__ import annotations
 
@@ -204,11 +205,12 @@ def _search(free: list[int], todo: list, pos: int) -> bool:
 
 
 def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
-    """Minimize bin-type loads subject to per-slot capacity over the hyperperiod.
+    """Minimize bin-type loads over the placements that realize.
 
-    Deterministic: among optimal solutions, the bin-flag vector is
-    lexicographically smallest over the input order, then the item->bin
-    vector, then the item->slot-class vector.
+    Deterministic: the bin-flag vector is the smallest bin count, then the
+    lexicographically smallest over the input order, whose packable subset
+    gives a placement that realizes; that placement is the lexicographically
+    smallest item->bin vector, then item->slot-class vector, of the subset.
     """
     if not specs:
         raise EmptyInputError("nothing to schedule")
@@ -224,8 +226,44 @@ def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
             if not packer.packs(free, {j: packer.entries[j] for j in items}):
                 continue
             placed = packer.lex_min(items, free)
-            return AssignmentMultiFreq(placement=tuple(placed.get(i) for i in range(n)))
-    raise AssertionError("unreachable: the all-bins assignment is always feasible")
+            placement = tuple(placed.get(i) for i in range(n))
+            try:
+                _offsets(specs, placement)
+            except InvalidAssignmentError:
+                continue
+            return AssignmentMultiFreq(placement=placement)
+    raise AssertionError("unreachable: the all-bins assignment always realizes")
+
+
+def _offsets(specs: list[PulseSpec], placement: tuple) -> dict[int, int]:
+    """Each item's offset behind its bin's falling edge, for a structurally valid placement.
+
+    Items with ratios r_i, r_j and classes c_i, c_j share a slot iff
+    gcd(r_i, r_j) divides c_i - c_j (CRT). Bin by bin, by descending width
+    with ties by id, each item takes the lowest offset that clears every
+    placed item it shares a slot with; one that finds none in the
+    off-interval raises InvalidAssignmentError naming the item and its bin.
+    """
+    items = [j for j, place in enumerate(placement) if place is not None]
+    items.sort(key=lambda j: (placement[j][0], -specs[j].on_width, load_sort_key(specs[j].id)))
+    placed: dict[int, list[tuple[int, int, int, int]]] = {}  # per bin: (ratio, class, start, end)
+    offsets: dict[int, int] = {}
+    for j in items:
+        b, cls = placement[j]
+        ratio, width = specs[j].period // specs[b].period, specs[j].on_width
+        others = placed.setdefault(b, [])
+        offset = 0
+        for start, end in sorted((s, e) for r, c, s, e in others if (cls - c) % gcd(ratio, r) == 0):
+            if offset + width <= start:
+                break
+            offset = max(offset, end)
+        if offset + width > specs[b].off_width:
+            raise InvalidAssignmentError(
+                f"item {specs[j].id!r} finds no free offset in bin {specs[b].id!r}'s off-interval"
+            )
+        offsets[j] = offset
+        others.append((ratio, cls, offset, offset + width))
+    return offsets
 
 
 def realize_phases_multifreq(
@@ -235,51 +273,32 @@ def realize_phases_multifreq(
 
     Bin-type loads keep their input phases. A placement without one entry
     per load, a host that is not a bin, periods that do not nest or a slot
-    class outside 1..R raise InvalidAssignmentError. Items with ratios r_i,
-    r_j and classes c_i, c_j share a slot iff gcd(r_i, r_j) divides
-    c_i - c_j (CRT). By descending on-width, ties by id, each item takes
-    the lowest offset that clears every placed item it shares a slot with;
-    one that finds none in the off-interval (as in an over-full slot)
-    raises InvalidAssignmentError.
+    class outside 1..R raise InvalidAssignmentError, as does an item that
+    the lowest-offset rule leaves without an offset. The solver's
+    placements always realize.
     """
     n = len(specs)
     placement = assignment.placement
     if len(placement) != n:
         raise InvalidAssignmentError(f"placement has {len(placement)} entries for {n} loads")
-    hosted: dict[int, list[tuple[int, int, int]]] = {}  # (item, ratio, class) per bin
     for j, place in enumerate(placement):
         if place is None:
             continue
         b, cls = place
         if b not in range(n) or placement[b] is not None:
-            raise InvalidAssignmentError(f"item {specs[j].id} is hosted by position {b}, not a bin")
+            raise InvalidAssignmentError(f"item {specs[j].id!r} is hosted by position {b}, not a bin")
         ratio, rest = divmod(specs[j].period, specs[b].period)
         if rest:
-            raise InvalidAssignmentError(f"item {specs[j].id}: period is no multiple of its host's")
+            raise InvalidAssignmentError(f"item {specs[j].id!r}: period is no multiple of its host's")
         if cls not in range(1, ratio + 1):
-            raise InvalidAssignmentError(f"slot class of item {specs[j].id} must lie in 1..{ratio}")
-        hosted.setdefault(b, []).append((j, ratio, cls))
+            raise InvalidAssignmentError(f"slot class of item {specs[j].id!r} must lie in 1..{ratio}")
 
     out = list(specs)
-    for b, js in sorted(hosted.items()):
-        js.sort(key=lambda t: (-specs[t[0]].on_width, load_sort_key(specs[t[0]].id)))
+    for j, offset in _offsets(specs, placement).items():
+        b, cls = placement[j]
         bin_spec = specs[b]
-        placed: list[tuple[int, int, int, int]] = []  # (ratio, class, start, end) per placed item
-        for j, ratio, cls in js:
-            width = specs[j].on_width
-            offset = 0
-            shared = sorted((s, e) for r, c, s, e in placed if (cls - c) % gcd(ratio, r) == 0)
-            for start, end in shared:
-                if offset + width <= start:
-                    break
-                offset = max(offset, end)
-            if offset + width > bin_spec.off_width:
-                raise InvalidAssignmentError(
-                    f"item {specs[j].id} finds no free offset in bin {bin_spec.id}'s off-interval"
-                )
-            phase = bin_spec.phase + bin_spec.on_width + (cls - 1) * bin_spec.period + offset
-            out[j] = replace(specs[j], phase=phase % specs[j].period)
-            placed.append((ratio, cls, offset, offset + width))
+        phase = bin_spec.phase + bin_spec.on_width + (cls - 1) * bin_spec.period + offset
+        out[j] = replace(specs[j], phase=phase % specs[j].period)
     return out
 
 

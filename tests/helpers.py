@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from pulsesched import PulseSpec
+from pulsesched import PulseSpec, load_sort_key
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -183,28 +183,70 @@ def _classes_fit(
     return assign(0)
 
 
+def lowest_offsets_realize(
+    specs: list[PulseSpec], bin_of: dict[int, int], class_of: dict[int, int], t_lcm: int
+) -> bool:
+    """Whether every item finds an offset by the lowest-offset rule, on a tick grid.
+
+    Bin by bin, items by descending width with ties by id each take the
+    lowest offset whose ticks are free in every slot of their class; the
+    occupied ticks of each slot are kept as a set, with no slot-sharing
+    arithmetic.
+    """
+    for b in sorted(set(bin_of.values())):
+        busy = [set() for _ in range(t_lcm // specs[b].period)]
+        js = [j for j in bin_of if bin_of[j] == b]
+        js.sort(key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)))
+        for j in js:
+            w = specs[j].on_width
+            ratio = specs[j].period // specs[b].period
+            hit = [busy[k] for k in range(class_of[j] - 1, len(busy), ratio)]
+            free = (
+                o
+                for o in range(specs[b].off_width - w + 1)
+                if not any(t in slot for slot in hit for t in range(o, o + w))
+            )
+            offset = next(free, None)
+            if offset is None:
+                return False
+            for slot in hit:
+                slot.update(range(offset, offset + w))
+    return True
+
+
 def oracle_lex_min_bins(
     specs: list[PulseSpec],
 ) -> tuple[tuple[int, ...], dict[int, int], dict[int, int]]:
-    """Smallest optimal bin-flag vector, then item->bin vector, then item->class vector.
+    """Smallest bin-flag vector whose lex-min placement realizes, then that placement.
 
-    The flags are the minimum over every feasible subset of the minimum
-    size; the item->bin vector is the first complete mapping, in input
-    order with bins ascending, for which slot classes exist; each item in
-    input order then takes the smallest class (1-based) that leaves classes
-    for the items after it.
+    Bin-flag vectors are tried by size, then in lex order, among the
+    feasible subsets. For one vector the item->bin vector is the first
+    complete mapping, in input order with bins ascending, for which slot
+    classes exist; each item in input order then takes the smallest class
+    (1-based) that leaves classes for the items after it. The first vector
+    whose placement passes `lowest_offsets_realize` is returned; the
+    all-bins vector has no items and always does.
     """
     n = len(specs)
     t_lcm = math.lcm(*(s.period for s in specs))
     for size in range(1, n + 1):
-        vectors = [
+        vectors = sorted(
             tuple(1 if i in bins else 0 for i in range(n))
             for bins in combinations(range(n), size)
             if multifreq_subset_feasible(specs, bins, t_lcm)
-        ]
-        if vectors:
-            break
-    flags = min(vectors)
+        )
+        for flags in vectors:
+            bin_of, class_of = lex_min_placement(specs, flags, t_lcm)
+            if lowest_offsets_realize(specs, bin_of, class_of, t_lcm):
+                return flags, bin_of, class_of
+    raise AssertionError("the all-bins vector always realizes")
+
+
+def lex_min_placement(
+    specs: list[PulseSpec], flags: tuple[int, ...], t_lcm: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The lex-min item->bin vector, then item->class vector, of a feasible flag vector."""
+    n = len(specs)
     bins = [i for i in range(n) if flags[i]]
     items = [i for i in range(n) if not flags[i]]
     bin_of: dict[int, int] = {}
@@ -228,7 +270,7 @@ def oracle_lex_min_bins(
         class_of[j] = next(
             c for c in range(1, ratio + 1) if _classes_fit(specs, bin_of, t_lcm, {**class_of, j: c})
         )
-    return flags, bin_of, class_of
+    return bin_of, class_of
 
 
 def random_samefreq_fleet(rng, n: int, period: int = 60) -> list[PulseSpec]:

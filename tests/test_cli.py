@@ -136,7 +136,10 @@ class TestSchedule:
         )
         assert code == 0
 
-    def test_unschedulable_group_exits_3_unless_partial(self, tmp_path, capsys):
+    def test_group_unrealizable_on_fewest_bins_is_scheduled_with_or_without_partial(
+        self, tmp_path, capsys
+    ):
+        # periods 36, 12, 24, 72, 24 ticks: one bin packs but does not realize
         sc = tmp_path / "conflict.json"
         sc.write_text(
             '{"loads": ['
@@ -146,11 +149,17 @@ class TestSchedule:
             '{"id": 4, "amplitude_a": 10, "frequency_hz": "125000/9", "duty_pct": "25/6"},'
             '{"id": 5, "amplitude_a": 10, "frequency_hz": "125000/3", "duty_pct": "25/2"}]}'
         )
-        assert run(["schedule", sc, "--out", tmp_path]) == 3
-        assert "group" in capsys.readouterr().err
-        assert run(["schedule", sc, "--out", tmp_path, "--allow-partial"]) == 0
-        rows = json.loads((tmp_path / "conflict.schedule.json").read_text())["loads"]
-        assert all(r["role"] == "bin" for r in rows)
+        outputs = []
+        for extra, out in (([], tmp_path / "strict"), (["--allow-partial"], tmp_path / "partial")):
+            assert run(["schedule", sc, "--out", out, *extra]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            assert captured.out.startswith("groups: 1, bin-type loads: 2\n")
+            files_out = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            outputs.append((captured.out, files_out))
+        assert outputs[0] == outputs[1]
+        rows = json.loads((tmp_path / "strict" / "conflict.schedule.json").read_text())["loads"]
+        assert [r["role"] for r in rows] == ["item", "bin", "item", "item", "bin"]
 
     def test_phaseless_scenario_defaults_bins_to_zero(self, tmp_path):
         sc = tmp_path / "nophase.json"
@@ -233,6 +242,14 @@ class TestErrorContract:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_scenario_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        sc = tmp_path / "latin.json"
+        sc.write_bytes(b'{"loads": [\xff\xfe]}')
+        assert run(["simulate", sc, "--out", tmp_path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {sc}: not UTF-8") and err.count("\n") == 1
 
     def test_markup_in_the_scenario_name_keeps_the_svg_well_formed(self, tmp_path):
         sc = tmp_path / "a&b<c.json"

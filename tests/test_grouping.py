@@ -3,11 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import random_multifreq_fleet
+from helpers import assert_bins_at_unit_level, random_multifreq_fleet
 
 from pulsesched import (
     EmptyInputError,
-    InfeasibleError,
     PulseSpec,
     aggregate_profile,
     partition_by_frequency,
@@ -32,7 +31,8 @@ def spec(id, period, width=None, phase=0):
     return PulseSpec(id=id, amplitude=10, period=period, on_width=width, phase=phase)
 
 
-# slot-feasible under one bin (the 12-tick load), but its first-fit offsets do not fit
+# slot-feasible under one bin (the 12-tick load), but the lowest-offset rule
+# leaves load 5 without an offset there; two bins realize
 UNREALIZABLE = [spec(1, 36, 3), spec(2, 12, 2), spec(3, 24, 5), spec(4, 72, 3), spec(5, 24, 3)]
 
 
@@ -111,34 +111,34 @@ class TestScheduleFleet:
         specs = [spec(1, 1000, phase=123)]
         fleet, plan = schedule_fleet(specs)
         assert fleet == specs
-        assert plan.groups[0].assignment is None
+        assert plan.groups[0].assignment.placement == (None,)
 
     def test_output_ordered_by_id(self):
         specs = [spec(3, 1000), spec(1, 2000), spec(2, 1000, phase=7)]
         fleet, _ = schedule_fleet(specs)
         assert [s.id for s in fleet] == [1, 2, 3]
 
-    def test_unrealizable_group_is_tagged_and_skippable(self):
-        # mixed ratios {2,3,6} admit a slot-feasible assignment for which the
-        # first-fit offsets run out of off-interval; the group fails as a unit
-        conflicted = UNREALIZABLE
-        with pytest.raises(InfeasibleError) as err:
-            schedule_fleet(conflicted)
-        assert err.value.groups == (1,)
-        fleet, plan = schedule_fleet(conflicted, allow_partial=True)
-        assert fleet == sorted(conflicted, key=lambda s: str(s.id))
-        assert plan.groups[0].assignment is None
+    def test_group_unrealizable_on_fewest_bins_is_scheduled_on_more(self):
+        # mixed ratios {2,3,6} admit a slot-feasible placement on one bin that
+        # the offset rule cannot realize; the solver moves on to two bins
+        fleet, plan = schedule_fleet(UNREALIZABLE)
+        assignment = plan.groups[0].assignment
+        assert assignment.placement == ((1, 1), None, (1, 1), (1, 2), None)
+        assert assignment.bins_used == 2
+        assert_bins_at_unit_level(UNREALIZABLE, assignment, fleet)
 
-    def test_failed_group_does_not_block_others(self):
+    def test_every_group_is_scheduled(self):
         conflicted = [
             *UNREALIZABLE,
             spec("p", 7777, width=3500, phase=100),
             spec("q", 7777, width=3500),
         ]
-        fleet, plan = schedule_fleet(conflicted, allow_partial=True)
+        fleet, plan = schedule_fleet(conflicted)
+        assert [g.assignment.bins_used for g in plan.groups] == [2, 1]
         by_id = {s.id: s for s in fleet}
         # the indivisible-period pair still got staggered back to back
         assert (by_id["p"].phase - by_id["q"].phase) % 7777 == 3500
+        assert fleet[:5] == schedule_fleet(UNREALIZABLE)[0]
 
     def test_mean_is_conserved_by_scheduling(self):
         rng = random.Random(317)

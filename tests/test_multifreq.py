@@ -1,10 +1,13 @@
 """Multi-frequency grouping model over the hyperperiod."""
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from helpers import (
     assert_bins_at_unit_level,
+    lex_min_placement,
+    lowest_offsets_realize,
+    multifreq_subset_feasible,
     oracle_lex_min_bins,
     oracle_min_bins_multifreq,
     oracle_min_bins_samefreq,
@@ -369,11 +372,65 @@ def mixed_ratio_groups(draw):
 @given(mixed_ratio_groups())
 def test_realization_fails_loudly_or_never_overlaps(specs):
     a = solve_multifreq(specs)
-    try:
-        realized = realize_phases_multifreq(specs, a)
-    except InvalidAssignmentError:
-        return
-    assert_bins_at_unit_level(specs, a, realized)
+    assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
+
+
+# (period, width) ticks at phase 0: groups whose lex-min placement on the
+# fewest packable bins leaves an item without an offset, and the placement
+# of the next bin-flag vector that realizes
+NEXT_SUBSET_FIXTURES = {
+    "U": (
+        ((36, 3), (12, 2), (24, 5), (72, 3), (24, 3)),
+        ((1, 1), None, (1, 1), (1, 2), None),
+    ),
+    "A": (
+        ((45, 2), (45, 3), (15, 3), (30, 3), (30, 8), (30, 6)),
+        ((2, 1), (2, 2), None, (2, 1), (2, 2), None),
+    ),
+    "B": (
+        ((14, 4), (28, 7), (56, 18), (14, 2), (28, 6), (28, 2), (28, 8)),
+        ((3, 1), (3, 1), (5, 1), None, (3, 2), None, (5, 1)),
+    ),
+    "C": (
+        ((39, 12), (26, 3), (13, 4), (13, 1), (26, 6), (26, 5), (39, 4)),
+        ((6, 1), (2, 1), None, (2, 1), (2, 2), (2, 1), None),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEXT_SUBSET_FIXTURES))
+def test_solver_moves_on_to_the_next_subset_that_realizes(name):
+    loads, expected = NEXT_SUBSET_FIXTURES[name]
+    specs = [spec(i + 1, period, width, amp=1) for i, (period, width) in enumerate(loads)]
+    a = solve_multifreq(specs)
+    assert a.placement == expected
+    assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
+    assert oracle_lex_min_bins(specs)[0] == a.bin_flags
+    # the first bin-flag vector that packs has a lex-min placement that does not realize
+    t_lcm = hyperperiod(specs)
+    first = min(
+        tuple(int(i in bins) for i in range(len(specs)))
+        for bins in combinations(range(len(specs)), oracle_min_bins_multifreq(specs))
+        if multifreq_subset_feasible(specs, bins, t_lcm)
+    )
+    assert not lowest_offsets_realize(specs, *lex_min_placement(specs, first, t_lcm), t_lcm)
+
+
+@pytest.mark.parametrize(
+    "loads, placement",
+    [
+        (((24, 12), (12, 6), (12, 6)), ((2, 1), None, (1, 1))),  # hosted by an item
+        (((18, 3), (12, 6)), ((1, 1), None)),  # 18 is no multiple of 12
+        (((24, 3), (12, 6)), ((1, 3), None)),  # class 3 of ratio 2
+        (((24, 12), (12, 6)), ((1, 1), None)),  # wider than the off-interval
+    ],
+    ids=["host", "period", "class", "offset"],
+)
+def test_rejected_placement_names_a_multiline_id_on_one_line(loads, placement):
+    specs = [spec(("a\nb", "bin", "c")[i], *load) for i, load in enumerate(loads)]
+    with pytest.raises(InvalidAssignmentError) as err:
+        realize_phases_multifreq(specs, AssignmentMultiFreq(placement=placement))
+    assert "\n" not in str(err.value) and "'a\\nb'" in str(err.value)
 
 
 @st.composite

@@ -1,0 +1,31 @@
+"""The README's examples run and print what the README shows."""
+import contextlib
+import io
+import re
+from pathlib import Path
+
+from pulsesched.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
+
+
+def test_schedule_example_prints_the_lines_shown(tmp_path):
+    [block] = [text for _, text in BLOCKS if text.startswith("pulsesched schedule ")]
+    command, *shown = block.splitlines()
+    argv = command.split()[1:]
+    argv[1] = str(ROOT / argv[1])
+    argv[argv.index("--out") + 1] = str(tmp_path)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    assert stdout.getvalue().splitlines() == [line.removeprefix("# ") for line in shown]
+
+
+def test_library_snippet_runs():
+    [snippet] = [text for lang, text in BLOCKS if lang == "python"]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exec(compile(snippet, "README.md", "exec"), {})
+    assert stdout.getvalue().startswith("Metrics(")
