@@ -6,9 +6,10 @@ files.MAX_DIGITS digits, and JSON nested too deeply to parse included), 4
 missing soc/voltage fields in plan-power, 3 any other scheduling error or
 ValueError: an infeasible power plan, a duty de-rating whose scaled
 on-widths fall off the tick grid, a hyperperiod beyond the tick range, a
-waveform sweep above its edge budget. Each failure prints one `error:` line
-to stderr. `schedule` schedules every group, so its `--allow-partial` is
-accepted and ignored.
+waveform sweep above its edge budget, and an OSError while creating `--out`
+or writing a report, whose line names the path. Each failure prints one
+`error:` line to stderr. `schedule` schedules every group, so its
+`--allow-partial` is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -181,6 +182,11 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         codes = (code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
         return next(codes, EXIT_INFEASIBLE)
+    except OSError as exc:
+        # creating --out or writing a report: load_scenario maps its own read errors
+        path = exc.filename or args.out
+        print(f"error: cannot write {str(path)!r}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

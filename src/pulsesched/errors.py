@@ -49,9 +49,8 @@ class InvalidAssignmentError(PulseSchedError):
     """An assignment fails validation against its loads.
 
     Realization raises it for a malformed placement or for an item the
-    lowest-offset rule leaves without an offset; the solver, which returns
-    only placements that realize, takes the latter as its cue to try the
-    next bin subset.
+    lowest-offset rule leaves without an offset. The solver searches with
+    that rule, so its placements never raise it.
     """
 
 

@@ -14,25 +14,25 @@ slot, and its off-interval holds a set of items iff their widths fit.
 
 An assignment stores one placement per load: None for a bin, else the
 item's host bin and slot class. One offset rule realizes a placement: by
-descending width, each item takes the lowest offset in its bin's
-off-interval that clears every item it shares a slot with, in every slot it
-occupies. When a bin mixes ratios, per-slot capacity alone does not
-guarantee such offsets.
+descending width, ties by id, each item takes the lowest offset in its
+bin's off-interval that clears every item it shares a slot with, in every
+slot it occupies. When a bin mixes ratios, per-slot capacity alone does
+not guarantee such offsets, so the solver searches with the rule itself.
 
-The solver minimizes the number of bin-type loads. It enumerates bin
-subsets in ascending size from the admissible lower bound ceil(sum of
-duties), in lexicographic order of the bin-flag vector. Per subset a host
-check comes first, then one complete backtracking search whose first
-descent is first fit: items bound to one bin first, then by descending
-width, each trying its hosts by bin index. For a subset that packs it picks
-the smallest bin per item in input order, then the smallest slot class,
-and returns that placement if the offset rule realizes it, else moves on;
-the all-bins subset has no items, so its answer always realizes.
+The solver minimizes the number of bin-type loads over the placements
+that the rule realizes. It enumerates bin subsets in ascending size from
+the admissible lower bound ceil(sum of duties), in lexicographic order of
+the bin-flag vector. Per subset a host check comes first, then one
+complete backtracking search that places the items in the rule's order,
+each at the rule's offset, trying hosts by bin index. For the first subset
+that realizes it pins each item in input order to its smallest bin, then
+to its smallest slot class, that still lets every item take an offset;
+the all-bins subset has no items, so some subset always realizes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import gcd
 
 from .errors import EmptyInputError, InvalidAssignmentError, MixedFrequencyError
@@ -67,150 +67,150 @@ def check_groupability(bin_spec: PulseSpec, item_spec: PulseSpec) -> bool:
 
 
 class _Packer:
-    """Free slot capacities of one group and the exact packing test.
+    """The placement search of one group.
 
-    The slots of all loads share one flat list: load i owns the entries from
-    base[i] to base[i + 1]. A load that is not a bin of the current subset
-    has zero free capacity, so no item fits it. An option is one host of an
-    item: (bin, its first slot, its end, the slots of each class); each
-    item's options are listed by bin index.
+    Items are placed in the offset rule's own order: by descending width,
+    ties by id. An option is one host of an item, (bin, stacks, ratio,
+    classes), and each item's options are listed by bin index. A bin whose
+    period is the hyperperiod hosts only ratio-1 items, which stack in its
+    one slot, so an integer room is its whole state; any other bin keeps
+    the (ratio, class, start, end) intervals of the items placed in it. A
+    load that is not a bin of the current subset has room 0, so no item
+    fits it.
     """
 
     def __init__(self, specs: list[PulseSpec]):
         t_lcm = hyperperiod(specs)
-        counts = [t_lcm // s.period for s in specs]
-        self.base = base = list(accumulate(counts, initial=0))
-        self.full = [s.off_width for s, c in zip(specs, counts) for _ in range(c)]
+        self.off = [s.off_width for s in specs]
         self.entries = []  # per item: (width, options)
         for j, item in enumerate(specs):
             options = [
-                (b, base[b], base[b + 1], [range(base[b] + c, base[b + 1], r) for c in range(r)])
+                (b, host.period == t_lcm, r, range(1, r + 1))
                 for b, host in enumerate(specs)
                 if b != j and check_groupability(host, item)
                 for r in (item.period // host.period,)
             ]
             self.entries.append((item.on_width, options))
         self.host_masks = [sum(1 << o[0] for o in entry[1]) for entry in self.entries]
-        self.by_width = sorted(range(len(specs)), key=lambda j: (-specs[j].on_width, j))
-        # the bins' free capacity covers the items' work (width times pulse
-        # count) iff the total work fits count hyperperiods, and a placement
-        # uses exactly its work: from this bound on, no subset or search node
-        # needs a total-work check
-        work = sum(s.on_width * c for s, c in zip(specs, counts))
+        self.order = sorted(
+            range(len(specs)), key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id))
+        )
+        self.placed: list[list[tuple[int, int, int, int]]] = [[] for _ in specs]
+        # a placement that realizes fits the items' work (width times pulse
+        # count) into the bins' off-time, so count hyperperiods must hold it
+        work = sum(s.on_width * (t_lcm // s.period) for s in specs)
         self.lower = max(1, -(-work // t_lcm))
 
-    def free_for(self, items: tuple[int, ...]) -> list[int] | None:
-        """Free capacities with `items` as the non-bins; None if one has no host."""
+    def room_for(self, items: tuple[int, ...]) -> list[int] | None:
+        """Each load's room with `items` as the non-bins; None if one has no host."""
         mask = sum(1 << j for j in items)
         for j in items:
             if not self.host_masks[j] & ~mask:
                 return None
-        free = self.full[:]
-        base = self.base
+        room = self.off[:]
         for j in items:
-            free[base[j] : base[j + 1]] = [0] * (base[j + 1] - base[j])
-        return free
+            room[j] = 0
+        return room
 
-    def packs(self, free: list[int], pending: dict[int, tuple]) -> bool:
-        """Whether every pending item can be placed into `free`, which is left as it was.
+    def packs(self, room: list[int], pending: dict[int, tuple]) -> bool:
+        """Whether the rule gives every pending item an offset; `room` is left as it was.
 
         `pending` maps each item to its (width, options); an item pinned to
-        one bin has that bin's option only. Items with one option are
-        searched first, the others by descending width, so no item with a
-        restricted choice follows the node where `_search` merges equal bins.
+        one bin, or to one class of it, has that option only.
         """
-        todo = [pending[j] for j in self.by_width if j in pending]
-        todo.sort(key=lambda entry: len(entry[1]) > 1)
-        return _search(free, todo, 0)
+        todo = [pending[j] for j in self.order if j in pending]
+        pinned = {options[0][0] for _, options in todo if len(options) == 1}
+        return _search(room, self.placed, pinned, todo, 0)
 
-    def lex_min(self, items: tuple[int, ...], free: list[int]) -> dict[int, tuple[int, int]]:
+    def lex_min(self, items: tuple[int, ...], room: list[int]) -> dict[int, tuple[int, int]]:
         """Each item's (bin, slot class): smallest bin in input order, then smallest class.
 
         Pass 1 pins each item to its smallest bin that still lets every item
-        pack; pass 2 commits each item's smallest slot class that does.
+        take an offset, pass 2 to its smallest class that does.
         """
         pending = {j: self.entries[j] for j in items}
-        for j in items:
-            w, options = pending[j]
-            for option in options:
-                pending[j] = (w, [option])
-                if self.packs(free, pending):
-                    break
-            else:
-                raise AssertionError("unreachable: subset was verified packable")
-        placed: dict[int, tuple[int, int]] = {}
-        for j in items:
-            w, [(b, _, _, classes)] = pending.pop(j)
-            for c, slots in enumerate(classes, 1):
-                if self._commit(free, slots, w, pending):
-                    placed[j] = (b, c)
-                    break
-            else:
-                raise AssertionError("unreachable: placement was verified packable")
-        return placed
-
-    def _commit(self, free: list[int], slots: range, w: int, pending: dict) -> bool:
-        """Take w from every slot in `slots` if it fits and the pending items still pack."""
-        if any(free[k] < w for k in slots):
-            return False
-        for k in slots:
-            free[k] -= w
-        if self.packs(free, pending):
-            return True
-        for k in slots:
-            free[k] += w
-        return False
+        for by_class in (False, True):
+            for j in items:
+                w, options = pending[j]
+                if by_class:
+                    [(b, stacks, r, classes)] = options
+                    if len(classes) == 1:  # pass 1 placed it in its only class
+                        continue
+                    options = ((b, stacks, r, range(c, c + 1)) for c in classes)
+                for option in options:
+                    if room[option[0]] < w:
+                        continue
+                    pending[j] = (w, [option])
+                    if self.packs(room, pending):
+                        break
+                else:
+                    raise AssertionError("unreachable: subset was verified packable")
+        return {j: (b, classes[0]) for j, (_, [(b, _, _, classes)]) in pending.items()}
 
 
-def _search(free: list[int], todo: list, pos: int) -> bool:
+def _search(room: list[int], placed: list[list], pinned: set[int], todo: list, pos: int) -> bool:
     """Complete backtracking over (bin, slot class) for todo[pos:], in option order.
 
-    Its first descent is first fit in the order of `todo`. Bins with equal
-    free-slot vectors have equal periods and host every later item that
-    still fits either of them, so only the first of them is tried at each
-    node: `packs` puts every item bound to one bin before any item that
-    could choose.
+    Each item takes the lowest offset of the chosen class; an option whose
+    offset leaves the off-interval is skipped. Bins with equal keys host
+    every later item alike, so only the first of them is tried at each
+    node: a stacking bin's key is its room, another bin's is its ratio,
+    off-width and intervals, and a bin that some item is pinned to has a
+    key of its own.
     """
     if pos == len(todo):
         return True
     w, options = todo[pos]
     tried = set()
-    for _, first, stop, classes in options:
-        if stop - first == 1:  # a single slot: its free capacity is the key
-            cap = free[first]
-            if cap < w or cap in tried:
-                continue
-            tried.add(cap)
-            free[first] = cap - w
-            done = _search(free, todo, pos + 1)
-            free[first] = cap
-            if done:
-                return True
+    for b, stacks, ratio, classes in options:
+        cap = room[b]
+        if cap < w:
             continue
-        key = tuple(free[first:stop])
+        others = placed[b]
+        key = (b,) if b in pinned else cap if stacks else (ratio, cap, tuple(others))
         if key in tried:
             continue
         tried.add(key)
-        for slots in classes:
-            if any(free[k] < w for k in slots):
+        if stacks:
+            room[b] = cap - w
+            done = _search(room, placed, pinned, todo, pos + 1)
+            room[b] = cap
+            if done:
+                return True
+            continue
+        for c in classes:
+            offset = _lowest(others, ratio, c, w)
+            if offset + w > cap:
                 continue
-            for k in slots:
-                free[k] -= w
-            done = _search(free, todo, pos + 1)
-            for k in slots:
-                free[k] += w
+            others.append((ratio, c, offset, offset + w))
+            done = _search(room, placed, pinned, todo, pos + 1)
+            others.pop()
             if done:
                 return True
     return False
 
 
+def _lowest(others: list[tuple[int, int, int, int]], ratio: int, cls: int, width: int) -> int:
+    """The lowest offset of a pulse that clears every interval in `others` it shares a slot with.
+
+    Items with ratios r_i, r_j and classes c_i, c_j share a slot iff
+    gcd(r_i, r_j) divides c_i - c_j (CRT).
+    """
+    offset = 0
+    for start, end in sorted((s, e) for r, c, s, e in others if (cls - c) % gcd(ratio, r) == 0):
+        if offset + width <= start:
+            break
+        offset = max(offset, end)
+    return offset
+
+
 def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
     """Minimize bin-type loads over the placements that realize.
 
-    Deterministic: the bin-flag vector is the smallest bin count, then the
-    lexicographically smallest over the input order, whose packable subset
-    gives a placement that realizes; that placement is the lexicographically
-    smallest item->bin vector, then item->slot-class vector, of the subset.
+    Deterministic: among the placements that the offset rule realizes it
+    takes the fewest bins, then the lexicographically smallest bin-flag
+    vector over the input order, then the lexicographically smallest
+    item->bin vector, then item->slot-class vector.
     """
     if not specs:
         raise EmptyInputError("nothing to schedule")
@@ -220,43 +220,30 @@ def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
         # item-position combinations in lexicographic order enumerate the
         # bin-flag vectors in lexicographic order for this bin count
         for items in combinations(range(n), n - count):
-            free = packer.free_for(items)
-            if free is None:
-                continue
-            if not packer.packs(free, {j: packer.entries[j] for j in items}):
-                continue
-            placed = packer.lex_min(items, free)
-            placement = tuple(placed.get(i) for i in range(n))
-            try:
-                _offsets(specs, placement)
-            except InvalidAssignmentError:
-                continue
-            return AssignmentMultiFreq(placement=placement)
-    raise AssertionError("unreachable: the all-bins assignment always realizes")
+            room = packer.room_for(items)
+            if room is not None and packer.packs(room, {j: packer.entries[j] for j in items}):
+                placed = packer.lex_min(items, room)
+                return AssignmentMultiFreq(placement=tuple(placed.get(i) for i in range(n)))
+    raise AssertionError("unreachable: the all-bins subset has no items")
 
 
 def _offsets(specs: list[PulseSpec], placement: tuple) -> dict[int, int]:
     """Each item's offset behind its bin's falling edge, for a structurally valid placement.
 
-    Items with ratios r_i, r_j and classes c_i, c_j share a slot iff
-    gcd(r_i, r_j) divides c_i - c_j (CRT). Bin by bin, by descending width
-    with ties by id, each item takes the lowest offset that clears every
-    placed item it shares a slot with; one that finds none in the
-    off-interval raises InvalidAssignmentError naming the item and its bin.
+    By descending width with ties by id, each item takes the lowest offset
+    that clears every item placed in its bin that it shares a slot with;
+    one that finds none in the off-interval raises InvalidAssignmentError
+    naming the item and its bin.
     """
     items = [j for j, place in enumerate(placement) if place is not None]
-    items.sort(key=lambda j: (placement[j][0], -specs[j].on_width, load_sort_key(specs[j].id)))
+    items.sort(key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)))
     placed: dict[int, list[tuple[int, int, int, int]]] = {}  # per bin: (ratio, class, start, end)
     offsets: dict[int, int] = {}
     for j in items:
         b, cls = placement[j]
         ratio, width = specs[j].period // specs[b].period, specs[j].on_width
         others = placed.setdefault(b, [])
-        offset = 0
-        for start, end in sorted((s, e) for r, c, s, e in others if (cls - c) % gcd(ratio, r) == 0):
-            if offset + width <= start:
-                break
-            offset = max(offset, end)
+        offset = _lowest(others, ratio, cls, width)
         if offset + width > specs[b].off_width:
             raise InvalidAssignmentError(
                 f"item {specs[j].id!r} finds no free offset in bin {specs[b].id!r}'s off-interval"

@@ -149,40 +149,6 @@ def oracle_min_bins_multifreq(specs: list[PulseSpec]) -> int:
     return best
 
 
-def _classes_fit(
-    specs: list[PulseSpec], bin_of: dict[int, int], t_lcm: int, fixed: dict[int, int] | None = None
-) -> bool:
-    """Whether the mapped items can each take one slot class without overfilling a slot.
-
-    Items in `fixed` keep their given class (1-based).
-    """
-    fixed = fixed or {}
-    items = sorted(bin_of)
-    loads = {b: [0] * (t_lcm // specs[b].period) for b in bin_of.values()}
-
-    def assign(pos: int) -> bool:
-        if pos == len(items):
-            return True
-        j = items[pos]
-        b = bin_of[j]
-        w = specs[j].on_width
-        ratio = specs[j].period // specs[b].period
-        slots = loads[b]
-        for cls in (fixed[j] - 1,) if j in fixed else range(ratio):
-            hit = range(cls, len(slots), ratio)
-            if all(slots[k] + w <= specs[b].off_width for k in hit):
-                for k in hit:
-                    slots[k] += w
-                ok = assign(pos + 1)
-                for k in hit:
-                    slots[k] -= w
-                if ok:
-                    return True
-        return False
-
-    return assign(0)
-
-
 def lowest_offsets_realize(
     specs: list[PulseSpec], bin_of: dict[int, int], class_of: dict[int, int], t_lcm: int
 ) -> bool:
@@ -217,15 +183,13 @@ def lowest_offsets_realize(
 def oracle_lex_min_bins(
     specs: list[PulseSpec],
 ) -> tuple[tuple[int, ...], dict[int, int], dict[int, int]]:
-    """Smallest bin-flag vector whose lex-min placement realizes, then that placement.
+    """The first placement that the lowest-offset rule realizes, by brute force.
 
-    Bin-flag vectors are tried by size, then in lex order, among the
-    feasible subsets. For one vector the item->bin vector is the first
-    complete mapping, in input order with bins ascending, for which slot
-    classes exist; each item in input order then takes the smallest class
-    (1-based) that leaves classes for the items after it. The first vector
-    whose placement passes `lowest_offsets_realize` is returned; the
-    all-bins vector has no items and always does.
+    Bin-flag vectors are tried by size, then in lex order; within one
+    vector, item->bin vectors and then item->class vectors (1-based) in lex
+    order. The first placement that passes `lowest_offsets_realize` wins.
+    Per-slot capacity, which every placement that realizes keeps, prunes
+    the enumeration; the all-bins vector has no items and always realizes.
     """
     n = len(specs)
     t_lcm = math.lcm(*(s.period for s in specs))
@@ -236,41 +200,68 @@ def oracle_lex_min_bins(
             if multifreq_subset_feasible(specs, bins, t_lcm)
         )
         for flags in vectors:
-            bin_of, class_of = lex_min_placement(specs, flags, t_lcm)
-            if lowest_offsets_realize(specs, bin_of, class_of, t_lcm):
-                return flags, bin_of, class_of
+            for bin_of in _bin_vectors(specs, flags, t_lcm):
+                for class_of in _class_vectors(specs, bin_of, t_lcm):
+                    if lowest_offsets_realize(specs, bin_of, class_of, t_lcm):
+                        return flags, bin_of, class_of
     raise AssertionError("the all-bins vector always realizes")
+
+
+def _bin_vectors(specs: list[PulseSpec], flags: tuple[int, ...], t_lcm: int):
+    """Item->bin maps of a flag vector in lex order, each with classes that fit every slot."""
+    bins = [i for i, f in enumerate(flags) if f]
+    items = [i for i, f in enumerate(flags) if not f]
+    bin_of: dict[int, int] = {}
+
+    def choose(pos: int):
+        if pos == len(items):
+            yield dict(bin_of)
+            return
+        j = items[pos]
+        for b in bins:
+            if specs[j].period % specs[b].period == 0:
+                bin_of[j] = b
+                if next(_class_vectors(specs, bin_of, t_lcm), None) is not None:
+                    yield from choose(pos + 1)
+                del bin_of[j]
+
+    yield from choose(0)
+
+
+def _class_vectors(specs: list[PulseSpec], bin_of: dict[int, int], t_lcm: int):
+    """Item->class maps (1-based) of an item->bin map in lex order, within every slot's capacity."""
+    items = sorted(bin_of)
+    loads = {b: [0] * (t_lcm // specs[b].period) for b in bin_of.values()}
+    class_of: dict[int, int] = {}
+
+    def choose(pos: int):
+        if pos == len(items):
+            yield dict(class_of)
+            return
+        j = items[pos]
+        b = bin_of[j]
+        w = specs[j].on_width
+        ratio = specs[j].period // specs[b].period
+        slots = loads[b]
+        for cls in range(1, ratio + 1):
+            hit = range(cls - 1, len(slots), ratio)
+            if all(slots[k] + w <= specs[b].off_width for k in hit):
+                for k in hit:
+                    slots[k] += w
+                class_of[j] = cls
+                yield from choose(pos + 1)
+                for k in hit:
+                    slots[k] -= w
+
+    yield from choose(0)
 
 
 def lex_min_placement(
     specs: list[PulseSpec], flags: tuple[int, ...], t_lcm: int
 ) -> tuple[dict[int, int], dict[int, int]]:
     """The lex-min item->bin vector, then item->class vector, of a feasible flag vector."""
-    n = len(specs)
-    bins = [i for i in range(n) if flags[i]]
-    items = [i for i in range(n) if not flags[i]]
-    bin_of: dict[int, int] = {}
-
-    def choose(pos: int) -> bool:
-        if pos == len(items):
-            return True
-        j = items[pos]
-        for b in bins:
-            if specs[j].period % specs[b].period == 0:
-                bin_of[j] = b
-                if _classes_fit(specs, bin_of, t_lcm) and choose(pos + 1):
-                    return True
-                del bin_of[j]
-        return False
-
-    assert choose(0)
-    class_of: dict[int, int] = {}
-    for j in items:
-        ratio = specs[j].period // specs[bin_of[j]].period
-        class_of[j] = next(
-            c for c in range(1, ratio + 1) if _classes_fit(specs, bin_of, t_lcm, {**class_of, j: c})
-        )
-    return bin_of, class_of
+    bin_of = next(_bin_vectors(specs, flags, t_lcm))
+    return bin_of, next(_class_vectors(specs, bin_of, t_lcm))
 
 
 def random_samefreq_fleet(rng, n: int, period: int = 60) -> list[PulseSpec]:

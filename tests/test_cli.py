@@ -139,15 +139,17 @@ class TestSchedule:
     def test_group_unrealizable_on_fewest_bins_is_scheduled_with_or_without_partial(
         self, tmp_path, capsys
     ):
-        # periods 36, 12, 24, 72, 24 ticks: one bin packs but does not realize
+        # periods 45, 45, 15, 30, 30, 30 ticks: one bin packs but no one-bin
+        # placement realizes
         sc = tmp_path / "conflict.json"
         sc.write_text(
             '{"loads": ['
-            '{"id": 1, "amplitude_a": 10, "frequency_hz": "250000/9", "duty_pct": "25/3"},'
-            '{"id": 2, "amplitude_a": 10, "frequency_hz": "250000/3", "duty_pct": "50/3"},'
-            '{"id": 3, "amplitude_a": 10, "frequency_hz": "125000/3", "duty_pct": "125/6"},'
-            '{"id": 4, "amplitude_a": 10, "frequency_hz": "125000/9", "duty_pct": "25/6"},'
-            '{"id": 5, "amplitude_a": 10, "frequency_hz": "125000/3", "duty_pct": "25/2"}]}'
+            '{"id": 1, "amplitude_a": 10, "frequency_hz": "200000/9", "duty_pct": "40/9"},'
+            '{"id": 2, "amplitude_a": 10, "frequency_hz": "200000/9", "duty_pct": "20/3"},'
+            '{"id": 3, "amplitude_a": 10, "frequency_hz": "200000/3", "duty_pct": 20},'
+            '{"id": 4, "amplitude_a": 10, "frequency_hz": "100000/3", "duty_pct": 10},'
+            '{"id": 5, "amplitude_a": 10, "frequency_hz": "100000/3", "duty_pct": "80/3"},'
+            '{"id": 6, "amplitude_a": 10, "frequency_hz": "100000/3", "duty_pct": 20}]}'
         )
         outputs = []
         for extra, out in (([], tmp_path / "strict"), (["--allow-partial"], tmp_path / "partial")):
@@ -159,7 +161,7 @@ class TestSchedule:
             outputs.append((captured.out, files_out))
         assert outputs[0] == outputs[1]
         rows = json.loads((tmp_path / "strict" / "conflict.schedule.json").read_text())["loads"]
-        assert [r["role"] for r in rows] == ["item", "bin", "item", "item", "bin"]
+        assert [r["role"] for r in rows] == ["item", "item", "bin", "item", "item", "bin"]
 
     def test_phaseless_scenario_defaults_bins_to_zero(self, tmp_path):
         sc = tmp_path / "nophase.json"
@@ -190,6 +192,17 @@ class TestErrorContract:
         assert run(["schedule", SCENARIOS / "scenario1_random.json", "--out", tmp_path]) == 3
         err = capsys.readouterr().err
         assert err == "error: Exceeds the limit (4300 digits) for integer string conversion\n"
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "below-a-file"])
+    def test_out_that_cannot_be_created_exits_3_naming_it(self, tmp_path, capsys, sub):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+        assert run(["simulate", SCENARIOS / "scenario1_random.json", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {str(out)!r}: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("raw", ['"1e5000"', "1e5000", '"1e999999999"', "1e999999999"])
     def test_oversized_exponent_exits_2(self, tmp_path, capsys, raw):

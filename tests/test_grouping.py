@@ -1,5 +1,6 @@
 """Fleet partition by frequency divisibility and end-to-end scheduling."""
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -31,9 +32,12 @@ def spec(id, period, width=None, phase=0):
     return PulseSpec(id=id, amplitude=10, period=period, on_width=width, phase=phase)
 
 
-# slot-feasible under one bin (the 12-tick load), but the lowest-offset rule
-# leaves load 5 without an offset there; two bins realize
-UNREALIZABLE = [spec(1, 36, 3), spec(2, 12, 2), spec(3, 24, 5), spec(4, 72, 3), spec(5, 24, 3)]
+# per-slot capacity fits one bin (the 15-tick load), but no one-bin
+# placement leaves every item an offset under the lowest-offset rule; two
+# bins realize
+UNREALIZABLE = [
+    spec(1, 45, 2), spec(2, 45, 3), spec(3, 15, 3), spec(4, 30, 3), spec(5, 30, 8), spec(6, 30, 6)
+]
 
 
 class TestPartition:
@@ -119,11 +123,11 @@ class TestScheduleFleet:
         assert [s.id for s in fleet] == [1, 2, 3]
 
     def test_group_unrealizable_on_fewest_bins_is_scheduled_on_more(self):
-        # mixed ratios {2,3,6} admit a slot-feasible placement on one bin that
-        # the offset rule cannot realize; the solver moves on to two bins
+        # mixed ratios {2, 3} admit slot-feasible placements on one bin that
+        # the offset rule cannot realize; the solver takes two bins
         fleet, plan = schedule_fleet(UNREALIZABLE)
         assignment = plan.groups[0].assignment
-        assert assignment.placement == ((1, 1), None, (1, 1), (1, 2), None)
+        assert assignment.placement == ((2, 1), (2, 2), None, (2, 1), (2, 2), None)
         assert assignment.bins_used == 2
         assert_bins_at_unit_level(UNREALIZABLE, assignment, fleet)
 
@@ -138,7 +142,21 @@ class TestScheduleFleet:
         by_id = {s.id: s for s in fleet}
         # the indivisible-period pair still got staggered back to back
         assert (by_id["p"].phase - by_id["q"].phase) % 7777 == 3500
-        assert fleet[:5] == schedule_fleet(UNREALIZABLE)[0]
+        assert fleet[:6] == schedule_fleet(UNREALIZABLE)[0]
+
+    def test_wide_ratio_group_stays_small(self):
+        # a 2-tick bin has 500,000 slots over the 1 s hyperperiod of its
+        # three items; the search keeps only each bin's placed intervals
+        specs = [PulseSpec(1, 1, 2, 1)] + [PulseSpec(i, 1, 10**6, 1) for i in (2, 3, 4)]
+        tracemalloc.start()
+        try:
+            fleet, plan = schedule_fleet(specs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.groups[0].assignment.placement == (None, (0, 1), (0, 2), (0, 3))
+        assert [s.phase for s in fleet] == [0, 1, 3, 5]
+        assert peak < 5 * 2**20
 
     def test_mean_is_conserved_by_scheduling(self):
         rng = random.Random(317)
