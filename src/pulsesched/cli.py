@@ -14,6 +14,7 @@ or writing a report, whose line names the path. Each failure prints one
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -47,7 +48,10 @@ def _emit_waveform(scenario: Scenario, args, profile, out: Path, stem: str) -> N
     if args.csv or scenario.emit_csv:
         write_text_atomic(out / f"{stem}.waveform.csv", files.waveform_csv(profile))
     if args.svg or scenario.emit_svg:
-        write_text_atomic(out / f"{stem}.waveform.svg", files.waveform_svg(profile, stem))
+        # the locale may have decoded the file name's bytes to lone surrogates,
+        # which UTF-8 cannot encode; the title reads those bytes as UTF-8
+        title = os.fsencode(stem).decode("utf-8", "replace")
+        write_text_atomic(out / f"{stem}.waveform.svg", files.waveform_svg(profile, title))
 
 
 def cmd_simulate(args) -> int:

@@ -49,8 +49,10 @@ class InvalidAssignmentError(PulseSchedError):
     """An assignment fails validation against its loads.
 
     Realization raises it for a malformed placement or for an item the
-    lowest-offset rule leaves without an offset. The solver searches with
-    that rule, so its placements never raise it.
+    lowest-offset rule leaves without an offset. It checks the items in
+    the rule's order, so when a placement has several faults the first
+    item in that order with a fault is the one reported. The solver
+    searches with that rule, so its placements never raise it.
     """
 
 

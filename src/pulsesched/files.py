@@ -226,13 +226,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
-    """Write via temp file + rename so readers never see a partial file."""
+    """Write `text` as UTF-8 via temp file + rename so readers never see a partial file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     umask = os.umask(0)
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") gives; mkstemp's is 0o600
             handle.write(text)
         os.replace(tmp, path)

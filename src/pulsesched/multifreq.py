@@ -16,8 +16,10 @@ An assignment stores one placement per load: None for a bin, else the
 item's host bin and slot class. One offset rule realizes a placement: by
 descending width, ties by id, each item takes the lowest offset in its
 bin's off-interval that clears every item it shares a slot with, in every
-slot it occupies. When a bin mixes ratios, per-slot capacity alone does
-not guarantee such offsets, so the solver searches with the rule itself.
+slot it occupies; realization is one pass in that order that checks and
+places each item. When a bin mixes ratios, per-slot capacity alone does
+not guarantee such offsets, so the solver searches with the rule itself,
+in its order and with its fit test.
 
 The solver minimizes the number of bin-type loads over the placements
 that the rule realizes. It enumerates bin subsets in ascending size from
@@ -31,6 +33,7 @@ the all-bins subset has no items, so some subset always realizes.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import combinations
 from math import gcd
@@ -92,9 +95,7 @@ class _Packer:
             ]
             self.entries.append((item.on_width, options))
         self.host_masks = [sum(1 << o[0] for o in entry[1]) for entry in self.entries]
-        self.order = sorted(
-            range(len(specs)), key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id))
-        )
+        self.order = _rule_order(specs, range(len(specs)))
         self.placed: list[list[tuple[int, int, int, int]]] = [[] for _ in specs]
         # a placement that realizes fits the items' work (width times pulse
         # count) into the bins' off-time, so count hyperperiods must hold it
@@ -179,8 +180,8 @@ def _search(room: list[int], placed: list[list], pinned: set[int], todo: list, p
                 return True
             continue
         for c in classes:
-            offset = _lowest(others, ratio, c, w)
-            if offset + w > cap:
+            offset = _lowest(others, ratio, c, w, cap)
+            if offset is None:
                 continue
             others.append((ratio, c, offset, offset + w))
             done = _search(room, placed, pinned, todo, pos + 1)
@@ -190,18 +191,26 @@ def _search(room: list[int], placed: list[list], pinned: set[int], todo: list, p
     return False
 
 
-def _lowest(others: list[tuple[int, int, int, int]], ratio: int, cls: int, width: int) -> int:
+def _rule_order(specs: list[PulseSpec], loads: Iterable[int]) -> list[int]:
+    """`loads` in the offset rule's order: by descending width, ties by id."""
+    return sorted(loads, key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)))
+
+
+def _lowest(
+    others: list[tuple[int, int, int, int]], ratio: int, cls: int, width: int, off: int
+) -> int | None:
     """The lowest offset of a pulse that clears every interval in `others` it shares a slot with.
 
     Items with ratios r_i, r_j and classes c_i, c_j share a slot iff
-    gcd(r_i, r_j) divides c_i - c_j (CRT).
+    gcd(r_i, r_j) divides c_i - c_j (CRT). None when that offset would
+    leave the pulse past the off-width `off`.
     """
     offset = 0
     for start, end in sorted((s, e) for r, c, s, e in others if (cls - c) % gcd(ratio, r) == 0):
         if offset + width <= start:
             break
         offset = max(offset, end)
-    return offset
+    return offset if offset + width <= off else None
 
 
 def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
@@ -227,63 +236,43 @@ def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
     raise AssertionError("unreachable: the all-bins subset has no items")
 
 
-def _offsets(specs: list[PulseSpec], placement: tuple) -> dict[int, int]:
-    """Each item's offset behind its bin's falling edge, for a structurally valid placement.
-
-    By descending width with ties by id, each item takes the lowest offset
-    that clears every item placed in its bin that it shares a slot with;
-    one that finds none in the off-interval raises InvalidAssignmentError
-    naming the item and its bin.
-    """
-    items = [j for j, place in enumerate(placement) if place is not None]
-    items.sort(key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)))
-    placed: dict[int, list[tuple[int, int, int, int]]] = {}  # per bin: (ratio, class, start, end)
-    offsets: dict[int, int] = {}
-    for j in items:
-        b, cls = placement[j]
-        ratio, width = specs[j].period // specs[b].period, specs[j].on_width
-        others = placed.setdefault(b, [])
-        offset = _lowest(others, ratio, cls, width)
-        if offset + width > specs[b].off_width:
-            raise InvalidAssignmentError(
-                f"item {specs[j].id!r} finds no free offset in bin {specs[b].id!r}'s off-interval"
-            )
-        offsets[j] = offset
-        others.append((ratio, cls, offset, offset + width))
-    return offsets
-
-
 def realize_phases_multifreq(
     specs: list[PulseSpec], assignment: AssignmentMultiFreq
 ) -> list[PulseSpec]:
     """Anchor each item behind its bin's falling edge at one offset for all its slots.
 
-    Bin-type loads keep their input phases. A placement without one entry
-    per load, a host that is not a bin, periods that do not nest or a slot
-    class outside 1..R raise InvalidAssignmentError, as does an item that
-    the lowest-offset rule leaves without an offset. The solver's
-    placements always realize.
+    Bin-type loads keep their input phases. One pass takes the items in
+    the offset rule's order and, for each, checks its host and slot class,
+    then gives it the rule's offset. A placement without one entry per
+    load, a host that is not a bin, periods that do not nest, a slot class
+    outside 1..R or an item that finds no free offset raise
+    InvalidAssignmentError; when a placement has several faults, the first
+    item in the rule's order with a fault is the one reported. The
+    solver's placements always realize.
     """
     n = len(specs)
     placement = assignment.placement
     if len(placement) != n:
         raise InvalidAssignmentError(f"placement has {len(placement)} entries for {n} loads")
-    for j, place in enumerate(placement):
-        if place is None:
-            continue
-        b, cls = place
+    out = list(specs)
+    placed: dict[int, list[tuple[int, int, int, int]]] = {}  # per bin: (ratio, class, start, end)
+    for j in _rule_order(specs, (j for j, place in enumerate(placement) if place is not None)):
+        b, cls = placement[j]
         if b not in range(n) or placement[b] is not None:
             raise InvalidAssignmentError(f"item {specs[j].id!r} is hosted by position {b}, not a bin")
-        ratio, rest = divmod(specs[j].period, specs[b].period)
+        bin_spec, width = specs[b], specs[j].on_width
+        ratio, rest = divmod(specs[j].period, bin_spec.period)
         if rest:
             raise InvalidAssignmentError(f"item {specs[j].id!r}: period is no multiple of its host's")
         if cls not in range(1, ratio + 1):
             raise InvalidAssignmentError(f"slot class of item {specs[j].id!r} must lie in 1..{ratio}")
-
-    out = list(specs)
-    for j, offset in _offsets(specs, placement).items():
-        b, cls = placement[j]
-        bin_spec = specs[b]
+        others = placed.setdefault(b, [])
+        offset = _lowest(others, ratio, cls, width, bin_spec.off_width)
+        if offset is None:
+            raise InvalidAssignmentError(
+                f"item {specs[j].id!r} finds no free offset in bin {bin_spec.id!r}'s off-interval"
+            )
+        others.append((ratio, cls, offset, offset + width))
         phase = bin_spec.phase + bin_spec.on_width + (cls - 1) * bin_spec.period + offset
         out[j] = replace(specs[j], phase=phase % specs[j].period)
     return out

@@ -22,6 +22,21 @@ def spec(amp=10, period=1000, width=500, voltage=None):
     return PulseSpec(id=1, amplitude=amp, period=period, on_width=width, voltage=voltage)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: adjust_waveform(spec(), AdjustmentRequest(Fraction(3, 2))), ValueError, "exceeds 1"),
+        (lambda: scale_amplitudes_to_limit([spec(voltage=3)], 0, 10), ValueError, "must be positive"),
+        (lambda: scale_duties_to_limit([spec(voltage=3)], -1, 10), ValueError, "must be positive"),
+        (lambda: scale_amplitudes_to_limit([spec()], 1, 10), MissingVoltageError, "no charging voltage"),
+    ],
+    ids=["duty above 1", "zero cap", "negative cap", "missing voltage"],
+)
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestAdjustWaveform:
     def test_halving_duty_doubles_amplitude(self):
         out = adjust_waveform(spec(voltage=3), AdjustmentRequest(Fraction(1, 4)))

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifacts, determinism, round-trips."""
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -269,6 +270,26 @@ class TestErrorContract:
         shutil.copy(SCENARIOS / "scenario1_random.json", sc)
         assert run(["simulate", sc, "--out", tmp_path, "--svg"]) == 0
         minidom.parse(str(tmp_path / "a&b<c.waveform.svg"))
+
+    def test_reports_are_utf8_under_an_ascii_locale(self, tmp_path):
+        sc = tmp_path / "pulsé.json"
+        shutil.copy(SCENARIOS / "scenario1_staggered.json", sc)
+        package_root = str(Path(pulsesched.__file__).parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "LC_ALL": "C",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "pulsesched.cli", "simulate", sc, "--out", tmp_path, "--svg"],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        svg = (tmp_path / "pulsé.waveform.svg").read_bytes().decode("utf-8")
+        assert "pulsé" in svg
 
 
 class TestPlanPower:

@@ -1,4 +1,5 @@
 """Scenario ingestion, canonical formatting, and report writers."""
+import json
 import os
 import stat
 import time
@@ -8,7 +9,7 @@ from xml.dom import minidom
 
 import pytest
 
-from pulsesched import PulseSpec, ScenarioError, aggregate_profile
+from pulsesched import PulseSpec, ScenarioError, aggregate_profile, cli
 from pulsesched.files import (
     MAX_DIGITS,
     amount_str,
@@ -198,6 +199,41 @@ class TestLoadScenario:
             assert len(sc.loads) >= 3
 
 
+def scenario_with(load=None, **top) -> str:
+    """A one-load scenario: `load` overrides the load's keys, `top` adds top-level blocks."""
+    entry = {"id": 1, "amplitude_a": 2, "frequency_hz": 1, "duty_pct": 50, "phase_s": 0, **(load or {})}
+    return json.dumps({"loads": [entry], **top})
+
+
+REFUSALS = {
+    "boolean quantity": (scenario_with({"amplitude_a": True}), "loads[0].amplitude_a: expected a number"),
+    "unreadable path": (None, "missing.json: "),
+    "top level not an object": ("[]", "sc.json: top level must be an object"),
+    "load not an object": ('{"loads": [1]}', "loads[0]: must be an object"),
+    "id neither int nor str": (scenario_with({"id": 1.5}), "loads[0].id: must be an integer"),
+    "frequency not positive": (scenario_with({"frequency_hz": 0}), "loads[0].frequency_hz: "),
+    "phase off the tick grid": (scenario_with({"phase_s": "1/3"}), "loads[0].phase_s: "),
+    "negative phase": (scenario_with({"phase_s": -1}), "loads[0].phase_s: must be non-negative"),
+    "voltage not positive": (scenario_with({"voltage_v": 0}), "loads[0].voltage_v: must be positive"),
+    "soc above 100": (scenario_with({"soc_pct": 101}), "loads[0].soc_pct: must lie in [0, 100]"),
+    "malformed power block": (scenario_with(power=5), "power: must be an object"),
+    "power without p_max_w": (scenario_with(power={}), "power.p_max_w: missing"),
+    "unknown power mode": (scenario_with(power={"p_max_w": 10, "mode": "x"}), "power.mode: "),
+    "malformed sim block": (scenario_with(sim=[]), "sim: must be an object"),
+    "non-boolean sim flag": (scenario_with(sim={"emit_csv": 1}), "sim.emit_csv: must be a boolean"),
+}
+
+
+@pytest.mark.parametrize("text, where", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_scenario_exits_2_naming_the_field_or_file(tmp_path, capsys, text, where):
+    path = tmp_path / "missing.json" if text is None else write_scenario(tmp_path, text)
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path.parent}") and err.count("\n") == 1
+    assert where in err
+
+
 class TestScenarioRoundTrip:
     def test_emitted_scenario_reingests_identically(self, tmp_path):
         specs = [
@@ -261,6 +297,11 @@ class TestAtomicWrite:
         write_text_atomic(target, "world")
         assert target.read_text() == "world"
         assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(tmp_path / "x.json", "lone surrogate \ud800")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
     def test_mode_follows_the_umask_like_a_plain_open(self, tmp_path, umask):

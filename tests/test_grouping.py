@@ -54,6 +54,10 @@ class TestPartition:
         assert len(plan.groups) == 1
         assert plan.groups[0].member_ids == (1, 2, 3, 4)
 
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError, match="unique"):
+            partition_by_frequency([spec(1, 1000), spec(2, 2000), spec(1, 3000)])
+
     def test_coprime_frequencies_form_singletons(self):
         plan = partition_by_frequency([spec(1, 3000), spec(2, 7000)])
         assert [g.member_ids for g in plan.groups] == [(1,), (2,)]

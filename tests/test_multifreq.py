@@ -24,6 +24,7 @@ from pulsesched import (
     PulseSpec,
     check_groupability,
     hyperperiod,
+    multifreq,
     realize_phases_multifreq,
     solve_multifreq,
     solve_samefreq,
@@ -133,6 +134,21 @@ class TestSolve:
         a = solve_multifreq(specs)
         assert a.bin_flags == (0, 0, 1, 1)
         assert a.placement == ((2, 1), (3, 1), None, None)
+
+    def test_equal_bins_are_tried_once_per_node(self, monkeypatch):
+        # 14 loads of 40 % duty pair up on 7 bins; a search that tried every
+        # one of the equal bins at each node would visit over 10**6 nodes
+        calls = 0
+        search = multifreq._search
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            assert calls <= 100_000, "the search tries equal bins more than once"
+            return search(*args)
+
+        monkeypatch.setattr(multifreq, "_search", counted)
+        assert solve_multifreq([spec(i, 100, 40) for i in range(1, 15)]).bins_used == 7
 
     def test_degenerates_to_samefreq_on_equal_periods(self):
         # equal periods are the ratio-1 case: one slot per bin, class 1 for all
@@ -319,6 +335,13 @@ class TestVerify:
             bad = AssignmentMultiFreq(placement=(None, (host, 1)))
             with pytest.raises(InvalidAssignmentError, match="not a bin"):
                 realize_phases_multifreq(specs, bad)
+
+    def test_first_fault_in_the_rule_order_is_reported(self):
+        # y, wider than z, finds no free offset before z's class is checked
+        specs = [spec("b", 100, 50), spec("x", 100, 30), spec("y", 100, 30), spec("z", 100, 10)]
+        bad = AssignmentMultiFreq(placement=(None, (0, 1), (0, 1), (0, 2)))
+        with pytest.raises(InvalidAssignmentError, match="item 'y' finds no free offset"):
+            realize_phases_multifreq(specs, bad)
 
     def test_placement_of_wrong_length_flagged(self):
         specs = [spec(1, 1000, 100), spec(2, 1000, 100)]

@@ -29,6 +29,23 @@ def load(id, soc, power_w=400, duty=Fraction(1, 2)):
     )
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda specs: prioritize_and_admit(specs, 0), "cap 0 must be positive"),
+        (lambda specs: prioritize_and_admit(specs, -5), "cap -5 must be positive"),
+        (
+            lambda specs: enforce_limit(prioritize_and_admit(specs, 100, derate=True), specs, "phase"),
+            "mode must be one of",
+        ),
+    ],
+    ids=["zero cap", "negative cap", "unknown mode"],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call([load(1, 20), load(2, 50)])
+
+
 class TestPrioritizeAndAdmit:
     def test_greedy_split_by_soc(self):
         plan = prioritize_and_admit([load(1, 20), load(2, 50), load(3, 80)], 900)

@@ -51,6 +51,27 @@ class TestPulseSpec:
         with pytest.raises(ValueError):
             spec(1, 0.65, 1000, 500)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"period": 1000.0}, "integer ticks"),
+            ({"phase": 0.5}, "phase must be integer ticks"),
+            ({"period": 0}, "period must be positive"),
+            ({"period": -1000}, "period must be positive"),
+            ({"soc": Fraction(-1, 100)}, "soc must lie in"),
+            ({"soc": Fraction(101, 100)}, "soc must lie in"),
+            ({"voltage": 0}, "voltage must be positive"),
+        ],
+        ids=[
+            "float period", "float phase", "zero period", "negative period",
+            "soc below 0", "soc above 1", "zero voltage",
+        ],
+    )
+    def test_rejects_out_of_range_fields(self, kw, message):
+        fields = {"id": 1, "amplitude": 10, "period": 1000, "on_width": 1, **kw}
+        with pytest.raises(ValueError, match=message):
+            PulseSpec(**fields)
+
     def test_from_seconds_rejects_offgrid_values(self):
         with pytest.raises(NonRepresentableTimeError):
             PulseSpec.from_seconds(1, 10, "0.0000001", "0.00000005")
