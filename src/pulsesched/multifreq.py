@@ -22,14 +22,16 @@ not guarantee such offsets, so the solver searches with the rule itself,
 in its order and with its fit test.
 
 The solver minimizes the number of bin-type loads over the placements
-that the rule realizes. It enumerates bin subsets in ascending size from
-the admissible lower bound ceil(sum of duties), in lexicographic order of
-the bin-flag vector. Per subset a host check comes first, then one
-complete backtracking search that places the items in the rule's order,
-each at the rule's offset, trying hosts by bin index. For the first subset
-that realizes it pins each item in input order to its smallest bin, then
-to its smallest slot class, that still lets every item take an offset;
-the all-bins subset has no items, so some subset always realizes.
+that the rule realizes. It enumerates bin subsets in ascending size, in
+lexicographic order of the bin-flag vector, from Martello and Toth's L2
+over each load's work in one hyperperiod H (width times pulse count)
+with capacity H: a group's pulses are disjoint, so its work fits H. Per
+subset a host check comes first, then one complete backtracking search
+that places the items in the rule's order, each at the rule's offset,
+trying hosts by bin index. For the first subset that realizes it pins
+each item in input order to its smallest bin, then to its smallest slot
+class, that still lets every item take an offset; the all-bins subset
+has no items, so some subset always realizes.
 """
 from __future__ import annotations
 
@@ -97,10 +99,9 @@ class _Packer:
         self.host_masks = [sum(1 << o[0] for o in entry[1]) for entry in self.entries]
         self.order = _rule_order(specs, range(len(specs)))
         self.placed: list[list[tuple[int, int, int, int]]] = [[] for _ in specs]
-        # a placement that realizes fits the items' work (width times pulse
-        # count) into the bins' off-time, so count hyperperiods must hold it
-        work = sum(s.on_width * (t_lcm // s.period) for s in specs)
-        self.lower = max(1, -(-work // t_lcm))
+        # a group that realizes has disjoint pulses, so its work (width times
+        # pulse count) fits one hyperperiod: bin packing's bounds apply
+        self.lower = _l2_bound([s.on_width * (t_lcm // s.period) for s in specs], t_lcm)
 
     def room_for(self, items: tuple[int, ...]) -> list[int] | None:
         """Each load's room with `items` as the non-bins; None if one has no host."""
@@ -147,6 +148,17 @@ class _Packer:
                 else:
                     raise AssertionError("unreachable: subset was verified packable")
         return {j: (b, classes[0]) for j, (_, [(b, _, _, classes)]) in pending.items()}
+
+
+def _l2_bound(sizes: list[int], cap: int) -> int:
+    """Martello and Toth's L2 (1990): a lower bound on the bins of capacity `cap` for `sizes`."""
+    big = [w for w in sizes if 2 * w > cap]  # one bin each
+    small = [w for w in sizes if 2 * w <= cap]
+    best = 1
+    for alpha in {0, *small}:  # sizes in [alpha, cap/2] fit only beside big ones <= cap - alpha
+        rest = sum(w for w in small if w >= alpha) - sum(cap - w for w in big if w <= cap - alpha)
+        best = max(best, len(big) + -(-max(0, rest) // cap))
+    return best
 
 
 def _search(room: list[int], placed: list[list], pinned: set[int], todo: list, pos: int) -> bool:

@@ -12,6 +12,7 @@ from helpers import (
     oracle_min_bins_multifreq,
     oracle_min_bins_samefreq,
     random_multifreq_fleet,
+    random_samefreq_fleet,
     reference_module,
 )
 from hypothesis import given, seed, settings
@@ -239,6 +240,63 @@ class TestSolve:
                         1 for t in range(1, ratio + 1) if ((n + t - 1) % n_bin) + 1 in occupied
                     )
                     assert window == 1
+
+
+def work_bound(specs):
+    """ceil(sum of duties): the hyperperiods that the loads' work fills, rounded up."""
+    t_lcm = hyperperiod(specs)
+    return -(-sum(s.on_width * (t_lcm // s.period) for s in specs) // t_lcm)
+
+
+class TestLowerBound:
+    def test_a_small_width_above_alpha_zero_adds_a_bin(self):
+        # no 7 shares a bin with another 7 or with the 4; alpha = 0 sees
+        # only the three 7s and 25 of 30 ticks, alpha = 4 adds the 4's bin
+        specs = [spec(i, 10, w) for i, w in enumerate((7, 7, 7, 4), 1)]
+        assert work_bound(specs) == 3
+        assert multifreq._Packer(specs).lower == 4 == oracle_min_bins_samefreq(specs)
+        assert solve_multifreq(specs).bins_used == 4
+
+    def test_loads_above_half_duty_take_a_bin_each(self):
+        specs = [spec(i, 10, 6) for i in (1, 2, 3)]
+        assert work_bound(specs) == 2
+        assert multifreq._Packer(specs).lower == 3 == solve_multifreq(specs).bins_used
+
+    def test_nested_periods_count_work_per_hyperperiod(self):
+        # over 20 ticks the 10-tick load is on for 12, each 20-tick one for
+        # 11: all three lie above half the hyperperiod
+        specs = [spec(1, 10, 6), spec(2, 20, 11), spec(3, 20, 11)]
+        assert work_bound(specs) == 2
+        assert multifreq._Packer(specs).lower == 3 == oracle_min_bins_multifreq(specs)
+        assert solve_multifreq(specs).bins_used == 3
+
+    def test_counts_below_the_bound_are_not_enumerated(self, monkeypatch):
+        # five loads above half duty need five bins, where their work and
+        # the three short loads' fill only four periods
+        specs = [spec(i, 100, 60) for i in range(1, 6)] + [spec(i, 100, 10) for i in range(6, 9)]
+        lower = multifreq._Packer(specs).lower
+        assert (work_bound(specs), lower) == (4, 5)
+        sizes = []
+        room_for = multifreq._Packer.room_for
+
+        def counted(self, items):
+            sizes.append(len(items))
+            return room_for(self, items)
+
+        monkeypatch.setattr(multifreq._Packer, "room_for", counted)
+        assert solve_multifreq(specs).bins_used == 5
+        assert sizes and max(sizes) <= len(specs) - lower
+
+
+@seed(20266)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(("samefreq", "multifreq")), st.integers(1, 7), st.randoms(use_true_random=False))
+def test_bound_lies_between_the_work_bound_and_the_optimum(kind, n, rng):
+    if kind == "samefreq":
+        specs, oracle = random_samefreq_fleet(rng, n), oracle_min_bins_samefreq
+    else:
+        specs, oracle = random_multifreq_fleet(rng, n), oracle_min_bins_multifreq
+    assert work_bound(specs) <= multifreq._Packer(specs).lower <= oracle(specs)
 
 
 class TestRealize:

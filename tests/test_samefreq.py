@@ -17,6 +17,7 @@ from pulsesched import (
     MixedFrequencyError,
     PulseSpec,
     aggregate_profile,
+    multifreq,
     realize_phases_samefreq,
     solve_samefreq,
 )
@@ -88,6 +89,7 @@ class TestSolve:
             assignment = solve_samefreq(specs)
             total = sum(s.on_width for s in specs)
             assert assignment.bins_used >= -(-total // specs[0].period)
+            assert assignment.bins_used >= multifreq._Packer(specs).lower
 
     def test_tie_breaking_is_lexicographic(self):
         from itertools import combinations, product
