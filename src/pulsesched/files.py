@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -228,12 +227,10 @@ def load_scenario(path: str | Path) -> Scenario:
 def write_text_atomic(path: Path, text: str) -> None:
     """Write `text` as UTF-8 via temp file + rename so readers never see a partial file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    umask = os.umask(0)
-    os.umask(umask)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open() gives
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") gives; mkstemp's is 0o600
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -256,11 +256,12 @@ def realize_phases_multifreq(
     Bin-type loads keep their input phases. One pass takes the items in
     the offset rule's order and, for each, checks its host and slot class,
     then gives it the rule's offset. A placement without one entry per
-    load, a host that is not a bin, periods that do not nest, a slot class
-    outside 1..R or an item that finds no free offset raise
-    InvalidAssignmentError; when a placement has several faults, the first
-    item in the rule's order with a fault is the one reported. The
-    solver's placements always realize.
+    load, an entry that is neither None nor a (bin, class) pair, a host
+    that is not a bin, periods that do not nest, a slot class outside
+    1..R or an item that finds no free offset raise InvalidAssignmentError;
+    when a placement has several faults, the first item in the rule's
+    order with a fault is the one reported. The solver's placements
+    always realize.
     """
     n = len(specs)
     placement = assignment.placement
@@ -269,6 +270,8 @@ def realize_phases_multifreq(
     out = list(specs)
     placed: dict[int, list[tuple[int, int, int, int]]] = {}  # per bin: (ratio, class, start, end)
     for j in _rule_order(specs, (j for j, place in enumerate(placement) if place is not None)):
+        if not (isinstance(placement[j], tuple) and len(placement[j]) == 2):
+            raise InvalidAssignmentError(f"item {specs[j].id!r}: placement is no (bin, class) pair")
         b, cls = placement[j]
         if b not in range(n) or placement[b] is not None:
             raise InvalidAssignmentError(f"item {specs[j].id!r} is hosted by position {b}, not a bin")

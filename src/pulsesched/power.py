@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .adjust import scale_amplitudes_to_limit, scale_duties_to_limit, total_mean_power
 from .errors import (
+    EmptyInputError,
     MissingSocError,
     MissingVoltageError,
     NoAdmissibleError,
@@ -53,38 +54,34 @@ def _soc_order(specs: list[PulseSpec]) -> list[PulseSpec]:
 def prioritize_and_admit(specs: list[PulseSpec], p_max, derate: bool = False) -> PowerPlan:
     """Admit loads in ascending-SOC order while the summed mean power fits the cap.
 
-    With `derate` every load is admitted regardless of the cap (the caller is
-    expected to run enforce_limit); otherwise admission stops at the first
-    load that would exceed the cap, and an empty admission raises NoAdmissible.
+    With `derate` every load is admitted (the caller runs enforce_limit);
+    otherwise admission stops at the first load that would exceed the cap,
+    and an empty admission raises NoAdmissible. No loads raise EmptyInput.
     """
     p_max = as_fraction(p_max)
     if p_max <= 0:
         raise ValueError(f"power cap {p_max} must be positive")
+    if not specs:
+        raise EmptyInputError("nothing to admit")
     ordered = _soc_order(specs)
-    if derate:
-        admitted = ordered
-        postponed: list[PulseSpec] = []
-    else:
-        admitted = []
-        cumulative = Fraction(0)
-        for s in ordered:
-            cumulative += mean_power(s)
-            if cumulative > p_max:
-                break
-            admitted.append(s)
-        postponed = ordered[len(admitted):]
-        if not admitted:
-            lowest = ordered[0]
-            raise NoAdmissibleError(
-                f"lowest-SOC load {lowest.id!r} needs {mean_power(lowest)} W "
-                f"but the cap is {p_max} W and de-rating is disabled"
-            )
+    p_sum, admitted = Fraction(0), []  # the admitted mean powers' sum and ids
+    for s in ordered:
+        total = p_sum + mean_power(s)
+        if not derate and total > p_max:
+            if not admitted:
+                raise NoAdmissibleError(
+                    f"lowest-SOC load {s.id!r} needs {total} W "
+                    f"but the cap is {p_max} W and de-rating is disabled"
+                )
+            break
+        p_sum = total
+        admitted.append(s.id)
     return PowerPlan(
-        admitted=tuple(s.id for s in admitted),
-        postponed=tuple(s.id for s in postponed),
+        admitted=tuple(admitted),
+        postponed=tuple(s.id for s in ordered[len(admitted):]),
         mode=None,
         scale=Fraction(1),
-        p_sum_w=total_mean_power(admitted),
+        p_sum_w=p_sum,
         p_max_w=p_max,
     )
 

@@ -355,6 +355,41 @@ class TestPlanPower:
         assert run(["plan-power", sc, "--out", tmp_path]) == 2
 
 
+class TestOneProcess:
+    def test_runs_in_sequence_match_fresh_runs_and_no_option_leaks(self, tmp_path, capsys):
+        # one parser serves every call: each run must write and print what
+        # a fresh process writes and prints for the same arguments
+        demo = SCENARIOS / "power_demo.json"
+        argvs = [
+            ["plan-power", demo, "--mode", "amplitude"],
+            ["plan-power", demo],
+            ["schedule", SCENARIOS / "scenario1_random.json"],
+            ["simulate", SCENARIOS / "scenario1_staggered.json", "--csv", "--svg"],
+        ]
+        package_root = str(Path(pulsesched.__file__).parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+        }
+        for k, argv in enumerate(argvs):
+            here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+            assert run([*argv, "--out", here]) == 0
+            stdout = capsys.readouterr().out
+            proc = subprocess.run(
+                [sys.executable, "-m", "pulsesched.cli", *map(str, argv), "--out", str(fresh)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert stdout == proc.stdout
+            written = {f.name: f.read_bytes() for f in here.iterdir()}
+            assert written == {f.name: f.read_bytes() for f in fresh.iterdir()}
+        assert "power_demo.derated.json" in {f.name for f in (tmp_path / "here0").iterdir()}
+        assert [f.name for f in (tmp_path / "here1").iterdir()] == ["power_demo.plan.json"]
+        assert json.loads((tmp_path / "here1" / "power_demo.plan.json").read_text())["mode"] is None
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("pulsesched")

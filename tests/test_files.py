@@ -303,6 +303,16 @@ class TestAtomicWrite:
             write_text_atomic(tmp_path / "x.json", "lone surrogate \ud800")
         assert list(tmp_path.iterdir()) == []
 
+    def test_writes_without_touching_the_umask(self, tmp_path, monkeypatch):
+        # the umask is process-wide: setting it, even briefly, races other threads
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        write_text_atomic(tmp_path / "x.json", "hello")
+        assert (tmp_path / "x.json").read_text() == "hello"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.json"]
+
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
     def test_mode_follows_the_umask_like_a_plain_open(self, tmp_path, umask):
         old = os.umask(umask)

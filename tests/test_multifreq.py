@@ -407,6 +407,13 @@ class TestVerify:
             with pytest.raises(InvalidAssignmentError, match="entries"):
                 realize_phases_multifreq(specs, AssignmentMultiFreq(placement=placement))
 
+    @pytest.mark.parametrize("entry", [5, (1,), (1, 1, 1)], ids=["int", "1-tuple", "3-tuple"])
+    def test_entry_that_is_no_pair_flagged(self, entry):
+        specs = [spec(1, 1000, 100), spec(2, 1000, 100)]
+        bad = AssignmentMultiFreq(placement=(None, entry))
+        with pytest.raises(InvalidAssignmentError, match="item 2: placement is no"):
+            realize_phases_multifreq(specs, bad)
+
 
 def oracle_placement(specs):
     """The placement that `oracle_lex_min_bins` finds, in the solver's format."""

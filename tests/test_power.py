@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pulsesched import (
+    EmptyInputError,
     MissingSocError,
     MissingVoltageError,
     NoAdmissibleError,
@@ -16,6 +17,7 @@ from pulsesched import (
     mean_power,
     prioritize_and_admit,
 )
+from pulsesched import adjust, power
 from pulsesched.adjust import total_mean_power
 
 
@@ -71,6 +73,29 @@ class TestPrioritizeAndAdmit:
         plan = prioritize_and_admit([load(1, 20), load(2, 50)], 100, derate=True)
         assert plan.admitted == (1, 2)
         assert plan.p_sum_w == 800
+
+    @pytest.mark.parametrize("derate", [False, True], ids=["greedy", "derate"])
+    def test_no_loads_rejected(self, derate):
+        with pytest.raises(EmptyInputError):
+            prioritize_and_admit([], 100, derate=derate)
+
+    @pytest.mark.parametrize(
+        "cap, derate", [(10_000, False), (900, False), (100, True), (10_000, True)],
+        ids=["greedy all", "greedy prefix", "derate over", "derate under"],
+    )
+    def test_mean_power_once_per_load_at_most(self, monkeypatch, cap, derate):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.id)
+            return mean_power(spec)
+
+        monkeypatch.setattr(power, "mean_power", counted)
+        monkeypatch.setattr(adjust, "mean_power", counted)
+        specs = [load(1, 20), load(2, 50), load(3, 80)]
+        plan = prioritize_and_admit(specs, cap, derate=derate)
+        assert len(calls) <= len(specs)
+        assert plan.p_sum_w == 400 * len(plan.admitted)
 
     def test_missing_soc_rejected(self):
         s = PulseSpec(id=1, amplitude=10, period=1000, on_width=500, voltage=2)
