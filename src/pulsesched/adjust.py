@@ -81,7 +81,8 @@ def _derating_ratio(specs: list[PulseSpec], p_max, p_sum) -> Fraction:
 def scale_amplitudes_to_limit(specs: list[PulseSpec], p_max, p_sum) -> list[PulseSpec]:
     """Multiply every amplitude by cap/total; duties, phases, periods unchanged."""
     ratio = _derating_ratio(specs, p_max, p_sum)
-    return [replace(s, amplitude=s.amplitude * ratio) for s in specs]
+    # a positive ratio keeps every amplitude positive: the specs stay valid
+    return [PulseSpec._checked({**vars(s), "amplitude": s.amplitude * ratio}) for s in specs]
 
 
 def scale_duties_to_limit(specs: list[PulseSpec], p_max, p_sum) -> list[PulseSpec]:

@@ -1,8 +1,10 @@
 """Scenario files, schedule/metrics/plan reports, and waveform exports.
 
 Scenario files are JSON. Quantities may be JSON numbers or strings; either
-way they are parsed exactly (numbers through a Decimal hook, strings through
-Fraction, which also accepts "p/q"). Emitted files render every quantity as
+way one integer parser, `ticks.parse_ratio`, reads them exactly as a
+numerator and denominator. It reads what Fraction reads, "p/q" included, and
+refuses an out-of-bound exponent or digit count before it builds a number.
+Loads are checked on those integers. Emitted files render every quantity as
 a canonical decimal string - seconds with up to six fractional digits,
 amounts rounded half-even to three - falling back to "p/q" where a time-
 structural value (frequency, duty) has no finite decimal form. All writes go
@@ -14,15 +16,14 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from itertools import pairwise
 from pathlib import Path
 
-from .errors import NonRepresentableTimeError, ScenarioError
+from .errors import ScenarioError
 from .power import MODES
 from .ticks import MAX_DIGITS, MAX_EXPONENT  # noqa: F401  the bounds of a scenario's quantities
-from .ticks import TICKS_PER_SECOND, bounded_text, seconds_str, ticks_from_seconds
+from .ticks import TICKS_PER_SECOND, parse_ratio, seconds_str
 from .waveform import Metrics, PulseSpec, StepProfile, load_sort_key
 
 
@@ -63,25 +64,45 @@ def _ratio_str(num: int, den: int) -> str:
     return seconds_str(micros)
 
 
-def _bounded(text: str, where: str) -> str:
-    """`text` itself, unless ticks.bounded_text refuses it; the error names the field."""
+class _Number:
+    """A JSON number token: its exact value num/den (den > 0) and its text."""
+
+    __slots__ = ("num", "den", "text")
+
+    def __init__(self, num: int, den: int, text: str):
+        self.num, self.den, self.text = num, den, text
+
+
+def _read_number(text: str, path: Path) -> tuple[int, int]:
+    """A JSON number token's exact value; its bounds are checked as the document is read."""
     try:
-        return bounded_text(text)
+        return parse_ratio(text)  # a JSON number is always in Fraction's grammar
     except ValueError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _parse_exact(raw, where: str) -> Fraction:
+def _quantity(raw, where: str, parsed: dict[str, tuple[int, int]]) -> tuple[int, int]:
+    """The exact value of a scenario quantity as (num, den), den > 0.
+
+    `parsed` holds the strings of the document read so far, each parsed once.
+    """
+    if isinstance(raw, str):
+        ratio = parsed.get(raw)
+        if ratio is None:
+            try:
+                ratio = parse_ratio(raw)
+            except ValueError as exc:
+                raise ScenarioError(f"{where}: {exc}") from exc
+            if ratio is None:
+                raise ScenarioError(f"{where}: cannot parse {raw!r} as an exact number")
+            parsed[raw] = ratio
+        return ratio
+    if isinstance(raw, _Number):
+        return raw.num, raw.den
     if isinstance(raw, bool):
         raise ScenarioError(f"{where}: expected a number, got a boolean")
-    if isinstance(raw, (int, Fraction)):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        _bounded(raw, where)
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"{where}: cannot parse {raw!r} as an exact number") from exc
+    if isinstance(raw, int):
+        return raw, 1
     raise ScenarioError(f"{where}: expected a number or numeric string, got {type(raw).__name__}")
 
 
@@ -89,7 +110,11 @@ _LOAD_KEYS = {"id", "amplitude_a", "frequency_hz", "duty_pct", "phase_s", "volta
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse and validate one scenario file; errors are anchored to file and field."""
+    """Parse and validate one scenario file; errors are anchored to file and field.
+
+    Every check runs on the integers of each quantity's (num, den); a load's
+    Fractions are built once, for its PulseSpec.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -100,8 +125,8 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         doc = json.loads(
             text,
-            parse_float=lambda s: Fraction(Decimal(_bounded(s, path))),
-            parse_int=lambda s: int(_bounded(s, path)),
+            parse_float=lambda s: _Number(*_read_number(s, path), s),
+            parse_int=lambda s: _read_number(s, path)[0],
             parse_constant=lambda s: (_ for _ in ()).throw(ValueError(s)),
         )
     except ValueError as exc:
@@ -121,6 +146,7 @@ def load_scenario(path: str | Path) -> Scenario:
     loads: list[PulseSpec] = []
     explicit: list[bool] = []
     seen_ids: set = set()
+    parsed: dict[str, tuple[int, int]] = {}  # a fleet repeats its quantities' texts
     for k, entry in enumerate(raw_loads):
         where = f"{path}: loads[{k}]"
         if not isinstance(entry, dict):
@@ -138,58 +164,67 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{where}.id: duplicate id {load_id!r}")
         seen_ids.add(load_id)
 
-        amplitude = _parse_exact(entry["amplitude_a"], f"{where}.amplitude_a")
-        if amplitude <= 0:
+        amp_num, amp_den = _quantity(entry["amplitude_a"], f"{where}.amplitude_a", parsed)
+        if amp_num <= 0:
             raise ScenarioError(f"{where}.amplitude_a: must be positive")
-        freq = _parse_exact(entry["frequency_hz"], f"{where}.frequency_hz")
-        if freq <= 0:
+        freq_num, freq_den = _quantity(entry["frequency_hz"], f"{where}.frequency_hz", parsed)
+        if freq_num <= 0:
             raise ScenarioError(f"{where}.frequency_hz: must be positive")
-        period = Fraction(TICKS_PER_SECOND) / freq
-        if period.denominator != 1:
+        period, rest = divmod(TICKS_PER_SECOND * freq_den, freq_num)
+        if rest:
             raise ScenarioError(
-                f"{where}.frequency_hz: period 1/{freq} s is not a whole number of 1 µs ticks"
+                f"{where}.frequency_hz: period 1/{Fraction(freq_num, freq_den)} s "
+                "is not a whole number of 1 µs ticks"
             )
-        duty = _parse_exact(entry["duty_pct"], f"{where}.duty_pct")
-        if not 0 < duty <= 100:
+        duty_num, duty_den = _quantity(entry["duty_pct"], f"{where}.duty_pct", parsed)
+        if not 0 < duty_num <= 100 * duty_den:
             raise ScenarioError(f"{where}.duty_pct: must lie in (0, 100]")
-        on_width = period * duty / 100
-        if on_width.denominator != 1:
+        on_width, rest = divmod(period * duty_num, 100 * duty_den)
+        if rest:
             raise ScenarioError(
-                f"{where}.duty_pct: {duty}% of {seconds_str(period.numerator)} s "
+                f"{where}.duty_pct: {Fraction(duty_num, duty_den)}% of {seconds_str(period)} s "
                 "is not a whole number of 1 µs ticks"
             )
 
         phase = 0
         has_phase = "phase_s" in entry
         if has_phase:
-            try:
-                phase = ticks_from_seconds(_parse_exact(entry["phase_s"], f"{where}.phase_s"))
-            except NonRepresentableTimeError as exc:
-                raise ScenarioError(f"{where}.phase_s: {exc}") from exc
+            raw = entry["phase_s"]
+            phase_num, phase_den = _quantity(raw, f"{where}.phase_s", parsed)
+            phase, rest = divmod(phase_num * TICKS_PER_SECOND, phase_den)
+            if rest:  # so raw is a str or a _Number: an int phase is whole seconds
+                # a string's whitespace is collapsed, so the message stays on one line
+                written = raw.text if isinstance(raw, _Number) else " ".join(raw.split())
+                raise ScenarioError(
+                    f"{where}.phase_s: {written} s is not a whole number of 1 µs ticks"
+                )
             if phase < 0:
                 raise ScenarioError(f"{where}.phase_s: must be non-negative")
 
         voltage = None
         if "voltage_v" in entry:
-            voltage = _parse_exact(entry["voltage_v"], f"{where}.voltage_v")
-            if voltage <= 0:
+            volt_num, volt_den = _quantity(entry["voltage_v"], f"{where}.voltage_v", parsed)
+            if volt_num <= 0:
                 raise ScenarioError(f"{where}.voltage_v: must be positive")
+            voltage = Fraction(volt_num, volt_den)
         soc = None
         if "soc_pct" in entry:
-            soc_pct = _parse_exact(entry["soc_pct"], f"{where}.soc_pct")
-            if not 0 <= soc_pct <= 100:
+            soc_num, soc_den = _quantity(entry["soc_pct"], f"{where}.soc_pct", parsed)
+            if not 0 <= soc_num <= 100 * soc_den:
                 raise ScenarioError(f"{where}.soc_pct: must lie in [0, 100]")
-            soc = soc_pct / 100
+            soc = Fraction(soc_num, 100 * soc_den)
 
         loads.append(
-            PulseSpec(
-                id=load_id,
-                amplitude=amplitude,
-                period=period.numerator,
-                on_width=on_width.numerator,
-                phase=phase,  # reduced modulo the period on construction
-                voltage=voltage,
-                soc=soc,
+            PulseSpec._checked(
+                {
+                    "id": load_id,
+                    "amplitude": Fraction(amp_num, amp_den),
+                    "period": period,
+                    "on_width": on_width,
+                    "phase": phase % period,
+                    "voltage": voltage,
+                    "soc": soc,
+                }
             )
         )
         explicit.append(has_phase)
@@ -202,10 +237,10 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{where}: must be an object with p_max_w and optional mode")
         if "p_max_w" not in power:
             raise ScenarioError(f"{where}.p_max_w: missing")
-        p_max = _parse_exact(power["p_max_w"], f"{where}.p_max_w")
-        if p_max <= 0:
+        p_max_num, p_max_den = _quantity(power["p_max_w"], f"{where}.p_max_w", parsed)
+        if p_max_num <= 0:
             raise ScenarioError(f"{where}.p_max_w: must be positive")
-        scenario.p_max_w = p_max
+        scenario.p_max_w = Fraction(p_max_num, p_max_den)
         mode = power.get("mode")
         if mode is not None:
             if mode not in MODES:
@@ -260,17 +295,18 @@ def scenario_json(
     """Re-ingestible scenario document; loads ordered by id, quantities lossless."""
     rows = []
     for s in sorted(loads, key=lambda s: load_sort_key(s.id)):
+        amp, volt, soc = s.amplitude, s.voltage, s.soc
         row = {
             "id": s.id,
-            "amplitude_a": exact_str(s.amplitude),
-            "frequency_hz": exact_str(s.frequency_hz),
-            "duty_pct": exact_str(100 * s.duty),
+            "amplitude_a": _ratio_str(amp.numerator, amp.denominator),
+            "frequency_hz": _ratio_str(TICKS_PER_SECOND, s.period),
+            "duty_pct": _ratio_str(100 * s.on_width, s.period),
             "phase_s": seconds_str(s.phase),
         }
-        if s.voltage is not None:
-            row["voltage_v"] = exact_str(s.voltage)
-        if s.soc is not None:
-            row["soc_pct"] = exact_str(100 * s.soc)
+        if volt is not None:
+            row["voltage_v"] = _ratio_str(volt.numerator, volt.denominator)
+        if soc is not None:
+            row["soc_pct"] = _ratio_str(100 * soc.numerator, soc.denominator)
         rows.append(row)
     doc: dict = {"loads": rows}
     if p_max_w is not None:

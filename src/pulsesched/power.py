@@ -8,10 +8,11 @@ lands exactly on the cap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .adjust import scale_amplitudes_to_limit, scale_duties_to_limit, total_mean_power
+from .adjust import scale_amplitudes_to_limit, scale_duties_to_limit
 from .errors import (
     EmptyInputError,
     MissingSocError,
@@ -43,12 +44,30 @@ class PowerPlan:
 
 
 def _soc_order(specs: list[PulseSpec]) -> list[PulseSpec]:
+    """The loads by ascending SOC, ties by id; SOCs compare as integers over one denominator."""
     for s in specs:
         if s.voltage is None:
             raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
         if s.soc is None:
             raise MissingSocError(f"load {s.id!r} carries no state of charge")
-    return sorted(specs, key=lambda s: (s.soc, load_sort_key(s.id)))
+    den = math.lcm(*(s.soc.denominator for s in specs))
+    return sorted(
+        specs, key=lambda s: (s.soc.numerator * (den // s.soc.denominator), load_sort_key(s.id))
+    )
+
+
+def _mean_powers(specs: list[PulseSpec]) -> tuple[list[int], int]:
+    """Each load's mean power, duty × voltage × amplitude, as an integer over one denominator."""
+    for s in specs:
+        if s.voltage is None:
+            raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
+    dens = [s.period * s.voltage.denominator * s.amplitude.denominator for s in specs]
+    den = math.lcm(*dens)
+    powers = [
+        s.on_width * s.voltage.numerator * s.amplitude.numerator * (den // d)
+        for s, d in zip(specs, dens)
+    ]
+    return powers, den
 
 
 def prioritize_and_admit(specs: list[PulseSpec], p_max, derate: bool = False) -> PowerPlan:
@@ -64,24 +83,27 @@ def prioritize_and_admit(specs: list[PulseSpec], p_max, derate: bool = False) ->
     if not specs:
         raise EmptyInputError("nothing to admit")
     ordered = _soc_order(specs)
-    p_sum, admitted = Fraction(0), []  # the admitted mean powers' sum and ids
-    for s in ordered:
-        total = p_sum + mean_power(s)
-        if not derate and total > p_max:
-            if not admitted:
-                raise NoAdmissibleError(
-                    f"lowest-SOC load {s.id!r} needs {total} W "
-                    f"but the cap is {p_max} W and de-rating is disabled"
-                )
+    powers, den = _mean_powers(ordered)
+    # p_sum / den <= p_max  <=>  p_sum * p_max.denominator <= limit
+    limit = p_max.numerator * den
+    p_sum = count = 0  # the admitted loads' mean-power sum over den, and their number
+    for p in powers:
+        if not derate and (p_sum + p) * p_max.denominator > limit:
             break
-        p_sum = total
-        admitted.append(s.id)
+        p_sum += p
+        count += 1
+    if not count:
+        s = ordered[0]
+        raise NoAdmissibleError(
+            f"lowest-SOC load {s.id!r} needs {mean_power(s)} W "
+            f"but the cap is {p_max} W and de-rating is disabled"
+        )
     return PowerPlan(
-        admitted=tuple(admitted),
-        postponed=tuple(s.id for s in ordered[len(admitted):]),
+        admitted=tuple(s.id for s in ordered[:count]),
+        postponed=tuple(s.id for s in ordered[count:]),
         mode=None,
         scale=Fraction(1),
-        p_sum_w=p_sum,
+        p_sum_w=Fraction(p_sum, den),
         p_max_w=p_max,
     )
 
@@ -107,7 +129,7 @@ def enforce_limit(
 
     admitted_ids = set(plan.admitted)
     admitted = [s for s in specs if s.id in admitted_ids]
-    current = total_mean_power(admitted)
+    current = plan.p_sum_w * plan.scale  # the admitted loads' drawn power
     if mode == "amplitude":
         scaled = scale_amplitudes_to_limit(admitted, plan.p_max_w, current)
     else:
@@ -125,23 +147,24 @@ def backfill(plan: PowerPlan, specs: list[PulseSpec], p_max) -> PowerPlan:
     """
     p_max = as_fraction(p_max)
     by_id = {s.id: s for s in specs}
-    drawn = plan.p_sum_w * plan.scale
-    admitted = list(plan.admitted)
-    postponed = list(plan.postponed)
-    moved_power = Fraction(0)
-    while postponed:
-        nxt = by_id[postponed[0]]
-        p = mean_power(nxt)
-        if drawn + p > p_max:
+    room = p_max - plan.p_sum_w * plan.scale  # what the cap leaves over the drawn power
+    powers, den = _mean_powers([by_id[load_id] for load_id in plan.postponed])
+    # moved / den <= room  <=>  moved * room.denominator <= limit
+    limit = room.numerator * den
+    moved = count = 0  # the newcomers' mean-power sum over den, and their number
+    for p in powers:
+        if (moved + p) * room.denominator > limit:
             break
-        drawn += p
-        moved_power += p
-        admitted.append(postponed.pop(0))
-    if moved_power == 0:
+        moved += p
+        count += 1
+    if not count:
         return plan
     # newcomers are unscaled; fold them into the pre-scale sum so that
     # p_sum_w * scale keeps matching the drawn power
-    new_sum = plan.p_sum_w + moved_power / plan.scale
+    new_sum = plan.p_sum_w + Fraction(moved, den) / plan.scale
     return replace(
-        plan, admitted=tuple(admitted), postponed=tuple(postponed), p_sum_w=new_sum
+        plan,
+        admitted=(*plan.admitted, *plan.postponed[:count]),
+        postponed=tuple(plan.postponed[count:]),
+        p_sum_w=new_sum,
     )

@@ -7,8 +7,9 @@ never rounded.
 """
 from __future__ import annotations
 
+import fractions
 import re
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import NonRepresentableTimeError
@@ -21,12 +22,17 @@ MAX_TICK = 2**63 - 1
 
 # Largest decimal exponent a quantity may carry, and most digits its
 # mantissa or either side of its "p/q" may have, checked on its text before a
-# Fraction is built: Fraction("1e3000000") alone takes about 1 s, and Python
+# number is built: Fraction("1e3000000") alone takes about 1 s, and Python
 # refuses to print an int of more than 4300 digits. A value at both bounds
 # still prints.
 MAX_EXPONENT = 1000
 MAX_DIGITS = 1000
 _EXPONENT = re.compile(r"e[-+]?0*(\d+)", re.IGNORECASE)
+
+# Fraction's own pattern, so parse_ratio accepts exactly the text Fraction(text)
+# accepts on every Python version: underscores came in 3.11, spaces around "/"
+# in 3.12.
+_QUANTITY = fractions._RATIONAL_FORMAT
 
 
 def bounded_text(text: str) -> str:
@@ -42,12 +48,53 @@ def bounded_text(text: str) -> str:
     return text
 
 
+def parse_ratio(text: str) -> tuple[int, int] | None:
+    """The exact value of quantity text as integers (num, den), den > 0, not reduced.
+
+    Reads what Fraction(text) reads: a sign, "_" between digits, surrounding
+    whitespace, decimals, exponents and "p/q". Returns None for any other
+    text and for a zero denominator. Text whose decimal exponent or digit
+    count is out of bounds raises bounded_text's ValueError first, before
+    any number is built.
+    """
+    match = _QUANTITY.match(text)
+    # text without an exponent and within MAX_DIGITS characters is in bounds
+    if match is None or match["exp"] or len(text) > MAX_DIGITS:
+        bounded_text(text)
+        if match is None:
+            return None
+    sign, num, den, decimal, exp = match.group("sign", "num", "denom", "decimal", "exp")
+    try:
+        num = int(num or "0")
+        if den:
+            den = int(den)
+            if den == 0:
+                return None
+        else:
+            den = 1
+            if decimal:
+                decimal = decimal.replace("_", "")
+                den = 10 ** len(decimal)
+                num = num * den + int(decimal)
+            if exp:
+                exp = int(exp)
+                if exp >= 0:
+                    num *= 10**exp
+                else:
+                    den *= 10**-exp
+    except ValueError:
+        # 3.11's pattern lets a run of "d" through as the fractional part
+        return None
+    return (-num if sign == "-" else num), den
+
+
 def as_fraction(value) -> Fraction:
     """Coerce an exact numeric input (int, str, Decimal, Fraction) to Fraction.
 
     Floats are refused: a literal like 0.65 is not the rational 65/100 once
-    it has been through binary floating point. The text of a str or Decimal
-    must pass `bounded_text`, so no input grinds before it is refused.
+    it has been through binary floating point. A str is read by
+    `parse_ratio`, except "p/q", and a Decimal by its scientific form, whose
+    digits are its own; so no input grinds before it is refused.
     """
     if isinstance(value, (bool, float)):
         raise ValueError(
@@ -58,12 +105,11 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    # a Decimal is checked in scientific form, whose digits are its own
-    text = bounded_text(format(value, "e") if isinstance(value, Decimal) else str(value))
-    try:
-        return Fraction(value if isinstance(value, Decimal) else Decimal(text))
-    except (InvalidOperation, ValueError, OverflowError) as exc:
-        raise ValueError(f"cannot parse {value!r} as an exact number") from exc
+    text = format(value, "e") if isinstance(value, Decimal) else str(value)
+    ratio = parse_ratio(text)
+    if ratio is None or "/" in text:
+        raise ValueError(f"cannot parse {value!r} as an exact number")
+    return Fraction(*ratio)
 
 
 def ticks_from_seconds(value) -> int:

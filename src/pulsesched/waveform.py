@@ -74,6 +74,14 @@ class PulseSpec:
         object.__setattr__(self, "phase", self.phase % self.period)
 
     @classmethod
+    def _checked(cls, fields: dict) -> "PulseSpec":
+        """A spec from all seven `fields`, which already pass the checks above
+        (Fraction quantities, phase reduced modulo the period): no check runs again."""
+        spec = object.__new__(cls)
+        spec.__dict__.update(fields)
+        return spec
+
+    @classmethod
     def from_seconds(
         cls,
         id: LoadId,

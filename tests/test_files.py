@@ -1,20 +1,35 @@
 """Scenario ingestion, canonical formatting, and report writers."""
 import json
 import os
+import re
 import stat
+import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 from xml.dom import minidom
 
 import pytest
+from helpers import reference_module
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from pulsesched import PulseSpec, ScenarioError, aggregate_profile, cli
+from pulsesched import (
+    NoAdmissibleError,
+    PulseSpec,
+    ScenarioError,
+    aggregate_profile,
+    cli,
+    enforce_limit,
+    prioritize_and_admit,
+)
 from pulsesched.files import (
     MAX_DIGITS,
     amount_str,
     exact_str,
     load_scenario,
+    plan_json,
     scenario_json,
     waveform_csv,
     waveform_svg,
@@ -324,3 +339,112 @@ class TestAtomicWrite:
             os.umask(old)
         mode = stat.S_IMODE((tmp_path / "x.json").stat().st_mode)
         assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.json").stat().st_mode)
+
+
+@pytest.mark.parametrize(
+    "phase, written",
+    [('"0.0000005"', "0.0000005"), ("0.0000005", "0.0000005"), ("5e-7", "5e-7"), ('" 1/3\\n"', "1/3")],
+    ids=["string", "number", "exponent", "padded ratio"],
+)
+def test_offgrid_phase_names_the_value_as_written(tmp_path, capsys, phase, written):
+    load = f'{{"id": 1, "amplitude_a": 1, "frequency_hz": 1, "duty_pct": 50, "phase_s": {phase}}}'
+    path = write_scenario(tmp_path, f'{{"loads": [{load}]}}')
+    assert cli.main(["simulate", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: loads[0].phase_s: {written} s is not a whole number of 1 µs ticks\n"
+    )
+
+
+ref_files = reference_module("files")
+ref_power = reference_module("power")
+RAW = re.compile(r'"@raw:([^"]*)@"')
+PERIODS = (1, 3, 7, 40, 1000, 2500, 62500, 10**6, 3 * 10**6)  # ticks
+
+
+def decimal_text(value: Fraction) -> str | None:
+    """`value` as a finite decimal string, or None when it has none."""
+    for places in range(8):
+        scaled = value * 10**places
+        if scaled.denominator == 1:
+            whole, frac = divmod(abs(scaled.numerator), 10**places)
+            sign = "-" if value < 0 else ""
+            return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+    return None
+
+
+@st.composite
+def spelled(draw, value: Fraction):
+    """`value` as a JSON number or string, in one of the spellings that Fraction reads."""
+    text = decimal_text(value)
+    spellings = [f'"{value.numerator}/{value.denominator}"', f'" {value} "']
+    if text is not None:
+        mantissa = text.replace(".", "").lstrip("0") or "0"
+        places = len(text.partition(".")[2])
+        spellings += [text, f'"{text}"', f"{mantissa}e-{places}", f'"{mantissa}E-{places}"']
+        if "." not in text:
+            spellings.append(f"{text}.0e0")
+        if sys.version_info >= (3, 11):  # Fraction reads "_" between digits from 3.11 on
+            grouped = f"{text[0]}_{text[1:]}" if len(text) > 1 and text[1].isdigit() else text
+            spellings.append(f'"{grouped}"')
+    spelling = draw(st.sampled_from(spellings))
+    return f"@raw:{spelling}@" if not spelling.startswith('"') else spelling.strip('"')
+
+
+@st.composite
+def scenario_docs(draw) -> str:
+    """A well-formed scenario with voltages, SOCs and a cap, its quantities spelled variously."""
+
+    def ratio(low: int, high: int, dens: tuple[int, ...]):
+        return spelled(Fraction(draw(st.integers(low, high)), draw(st.sampled_from(dens))))
+
+    loads = []
+    for k in range(draw(st.integers(1, 6))):
+        period = draw(st.sampled_from(PERIODS))
+        soc_den = draw(st.sampled_from((1, 3, 10)))
+        load = {
+            "id": draw(st.sampled_from((k, f"L{k}"))),
+            "amplitude_a": draw(ratio(1, 500, (1, 3, 10, 8))),
+            "frequency_hz": draw(spelled(Fraction(10**6, period))),
+            "duty_pct": draw(spelled(Fraction(100 * draw(st.integers(1, period)), period))),
+            "phase_s": draw(spelled(Fraction(draw(st.integers(0, 2 * period)), 10**6))),
+            "voltage_v": draw(ratio(1, 800, (1, 2, 7))),
+            "soc_pct": draw(spelled(Fraction(draw(st.integers(0, 100 * soc_den)), soc_den))),
+        }
+        loads.append(load)
+    power = {"p_max_w": draw(ratio(1, 50_000, (1, 4, 9)))}
+    if draw(st.booleans()):
+        power["mode"] = "amplitude"
+    return RAW.sub(lambda m: m[1], json.dumps({"loads": loads, "power": power}))
+
+
+@seed(20615)
+@settings(max_examples=120, deadline=None, database=None)
+@given(scenario_docs())
+def test_reports_match_the_reference_on_well_formed_scenarios(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sc.json"
+        path.write_text(text)
+        sc, ref = load_scenario(path), ref_files.load_scenario(path)
+    assert [vars(s) for s in sc.loads] == [vars(s) for s in ref.loads]
+    assert sc.explicit_phase == ref.explicit_phase
+    assert (sc.p_max_w, sc.power_mode) == (ref.p_max_w, ref.power_mode)
+    assert scenario_json(sc.loads, sc.p_max_w, sc.power_mode) == ref_files.scenario_json(
+        ref.loads, ref.p_max_w, ref.power_mode
+    )
+    try:
+        plan = prioritize_and_admit(sc.loads, sc.p_max_w)
+    except NoAdmissibleError:
+        plan = None
+    if plan is not None:
+        ref_plan = ref_power.prioritize_and_admit(ref.loads, ref.p_max_w)
+        assert plan_json(plan) == ref_files.plan_json(ref_plan)
+    plan = prioritize_and_admit(sc.loads, sc.p_max_w, derate=True)
+    ref_plan = ref_power.prioritize_and_admit(ref.loads, ref.p_max_w, derate=True)
+    if plan.p_sum_w > plan.p_max_w:
+        plan, derated = enforce_limit(plan, sc.loads, "amplitude")
+        ref_plan, ref_derated = ref_power.enforce_limit(ref_plan, ref.loads, "amplitude")
+        assert scenario_json(derated, sc.p_max_w, "amplitude") == ref_files.scenario_json(
+            ref_derated, ref.p_max_w, "amplitude"
+        )
+    assert plan_json(plan) == ref_files.plan_json(ref_plan)
+

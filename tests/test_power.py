@@ -1,9 +1,13 @@
 """SOC-ordered admission, de-rating to the cap, and backfill."""
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from helpers import reference_module
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from pulsesched import (
     EmptyInputError,
@@ -200,3 +204,98 @@ class TestInvariants:
                 worst_in = max(by_id[i].soc for i in plan.admitted)
                 best_out = min(by_id[i].soc for i in plan.postponed)
                 assert worst_in <= best_out
+
+
+ref_power = reference_module("power")
+ref_waveform = reference_module("waveform")
+
+
+@st.composite
+def powered_fleets(draw) -> list[PulseSpec]:
+    """1-8 loads with rational amplitudes, voltages and SOCs, and unique ids of both kinds."""
+    n = draw(st.integers(1, 8))
+    id_values = st.one_of(st.integers(-3, 20), st.sampled_from("abcde"))
+    ids = draw(st.lists(id_values, min_size=n, max_size=n, unique=True))
+    fleet = []
+    for load_id in ids:
+        period = draw(st.sampled_from((4, 10, 12, 1000, 7919)))
+        fleet.append(
+            PulseSpec(
+                id=load_id,
+                amplitude=Fraction(draw(st.integers(1, 400)), draw(st.sampled_from((1, 2, 3, 10, 7)))),
+                period=period,
+                on_width=draw(st.integers(1, period)),
+                voltage=Fraction(draw(st.integers(1, 800)), draw(st.sampled_from((1, 2, 9)))),
+                soc=Fraction(draw(st.integers(0, 12)), draw(st.sampled_from((12, 4, 10, 1)))) % 1,
+            )
+        )
+    return fleet
+
+
+def reference_copy(fleet: list[PulseSpec]) -> list:
+    """The fleet as PulseSpecs of the frozen reference copy of the package."""
+    return [
+        ref_waveform.PulseSpec(s.id, s.amplitude, s.period, s.on_width, s.phase, s.voltage, s.soc)
+        for s in fleet
+    ]
+
+
+def drawn(plan, fleet: list[PulseSpec]) -> Fraction:
+    admitted = set(plan.admitted)
+    return total_mean_power([s for s in fleet if s.id in admitted])
+
+
+CAPS = st.fractions(min_value=Fraction(1, 3), max_value=Fraction(3_000_000), max_denominator=7)
+
+
+@seed(20613)
+@settings(max_examples=100, deadline=None, database=None)
+@given(powered_fleets(), CAPS, CAPS)
+def test_plan_sum_is_the_admitted_mean_power(fleet, cap, grown_cap):
+    for derate in (False, True):
+        try:
+            plan = prioritize_and_admit(fleet, cap, derate=derate)
+        except NoAdmissibleError:
+            continue
+        assert plan.p_sum_w * plan.scale == drawn(plan, fleet)
+        grown = backfill(plan, fleet, grown_cap)
+        assert grown.p_sum_w * grown.scale == drawn(grown, fleet)
+
+
+@seed(20614)
+@settings(max_examples=100, deadline=None, database=None)
+@given(powered_fleets(), CAPS, CAPS)
+def test_admission_backfill_and_derating_match_the_reference(fleet, cap, grown_cap):
+    ref_fleet = reference_copy(fleet)
+
+    def both(call, ref_call):
+        try:
+            got = call()
+        except NoAdmissibleError as exc:
+            with pytest.raises(ref_power.NoAdmissibleError, match=f"^{re.escape(str(exc))}$"):
+                ref_call()
+            return None, None
+        expected = ref_call()
+        assert vars(got) == vars(expected)
+        return got, expected
+
+    plan, ref_plan = both(
+        lambda: prioritize_and_admit(fleet, cap), lambda: ref_power.prioritize_and_admit(ref_fleet, cap)
+    )
+    if plan is not None:
+        # grown_cap, and a cap that the first postponed load fills exactly
+        waiting = [s for s in fleet if s.id in plan.postponed[:1]]
+        for grown in (grown_cap, plan.p_sum_w + total_mean_power(waiting)):
+            both(
+                lambda: backfill(plan, fleet, grown),
+                lambda: ref_power.backfill(ref_plan, ref_fleet, grown),
+            )
+    plan = prioritize_and_admit(fleet, cap, derate=True)
+    ref_plan = ref_power.prioritize_and_admit(ref_fleet, cap, derate=True)
+    assert vars(plan) == vars(ref_plan)
+    if plan.p_sum_w > cap:
+        plan, derated = enforce_limit(plan, fleet, "amplitude")
+        ref_plan, ref_derated = ref_power.enforce_limit(ref_plan, ref_fleet, "amplitude")
+        assert vars(plan) == vars(ref_plan)
+        assert [vars(s) for s in derated] == [vars(s) for s in ref_derated]
+        assert drawn(plan, derated) == cap
