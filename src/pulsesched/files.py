@@ -7,8 +7,10 @@ refuses an out-of-bound exponent or digit count before it builds a number.
 Loads are checked on those integers. Emitted files render every quantity as
 a canonical decimal string - seconds with up to six fractional digits,
 amounts rounded half-even to three - falling back to "p/q" where a time-
-structural value (frequency, duty) has no finite decimal form. All writes go
-through a temp file and rename, and repeated runs produce identical bytes.
+structural value (frequency, duty) has no finite decimal form. The waveform
+writers format in bulk, each distinct level once, with the bytes that
+`seconds_str` and `exact_str` give. All writes go through a temp file and
+rename, and repeated runs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -17,13 +19,13 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import chain, pairwise, repeat
 from pathlib import Path
 
 from .errors import ScenarioError
 from .power import MODES
 from .ticks import MAX_DIGITS, MAX_EXPONENT  # noqa: F401  the bounds of a scenario's quantities
-from .ticks import TICKS_PER_SECOND, parse_ratio, seconds_str
+from .ticks import TICKS_PER_SECOND, parse_ratio, seconds_str, seconds_strs
 from .waveform import Metrics, PulseSpec, StepProfile, load_sort_key
 
 
@@ -339,14 +341,15 @@ def plan_json(plan) -> str:
 def waveform_csv(profile: StepProfile) -> str:
     """One row per breakpoint: time in seconds and the level starting there."""
     den = profile.denominator
-    texts: dict[int, str] = {}  # each distinct level rendered once
-    lines = ["t_s,i_total_a"]
-    for t, v in zip(profile.breakpoints, profile.scaled):
-        text = texts.get(v)
-        if text is None:
-            text = texts[v] = _ratio_str(v, den)
-        lines.append(f"{seconds_str(t)},{text}")
-    return "\n".join(lines) + "\n"
+    levels = sorted(set(profile.scaled))  # each distinct level rendered once
+    if TICKS_PER_SECOND % den or levels[0] < 0:  # "p/q" levels; seconds_strs takes no sign
+        texts = map(_ratio_str, levels, repeat(den))
+    else:  # every level is a whole number of millionths, so its text is a seconds text
+        texts = seconds_strs([v * (TICKS_PER_SECOND // den) for v in levels])
+    text_of = dict(zip(levels, texts))
+    times = seconds_strs(profile.breakpoints)
+    rows = zip(times, repeat(","), map(text_of.__getitem__, profile.scaled), repeat("\n"))
+    return "t_s,i_total_a\n" + "".join(chain.from_iterable(rows))  # no row string is built
 
 
 def waveform_svg(profile: StepProfile, title: str) -> str:
@@ -368,17 +371,13 @@ def waveform_svg(profile: StepProfile, title: str) -> str:
     # v / den is correctly rounded, so it equals float(Fraction(v, den));
     # each distinct level and each breakpoint is formatted once
     ys = {v: f"{height - bottom - v / den * scale_y:.2f}" for v in set(scaled)}
-    xs = (f"{left + t * scale_x:.2f}" for t in (*bps, profile.hyperperiod))
-
     # left-to-right step outline; the stretch before the first breakpoint
     # belongs to the cyclic last segment
-    points: list[str] = []
+    ticks, levels = (*bps, profile.hyperperiod), scaled
     if bps[0] > 0:
-        y = ys[scaled[-1]]
-        points += (f"{left:.2f},{y}", f"{left + bps[0] * scale_x:.2f},{y}")
-    for (x, end), v in zip(pairwise(xs), scaled):
-        y = ys[v]
-        points += (f"{x},{y}", f"{end},{y}")
+        ticks, levels = (0, *ticks), (scaled[-1], *scaled)
+    xs = map("%.2f".__mod__, map(left.__add__, map(scale_x.__rmul__, ticks)))
+    points = [f"{x},{y} {end},{y}" for (x, end), y in zip(pairwise(xs), map(ys.__getitem__, levels))]
 
     axis = (
         f'<line x1="{left:.2f}" y1="{height - bottom:.2f}" x2="{width - right:.2f}" '

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import fractions
 import re
+from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import NonRepresentableTimeError
 
@@ -119,7 +121,10 @@ def ticks_from_seconds(value) -> int:
     except ValueError as exc:
         raise NonRepresentableTimeError(str(exc)) from exc
     if frac.denominator != 1:
-        raise NonRepresentableTimeError(f"{value!r} s is not a whole number of 1 µs ticks")
+        # the value as written: a Fraction as p/q, a string with its whitespace
+        # collapsed so the message stays on one line
+        written = " ".join(str(value).split())
+        raise NonRepresentableTimeError(f"{written} s is not a whole number of 1 µs ticks")
     return frac.numerator
 
 
@@ -130,3 +135,27 @@ def seconds_str(ticks: int) -> str:
     if frac == 0:
         return f"{sign}{whole}"
     return f"{sign}{whole}.{frac:06d}".rstrip("0")
+
+
+def seconds_strs(ticks: tuple[int, ...] | list[int]) -> list[str]:
+    """list(map(seconds_str, ticks)) for sorted non-negative ticks, formatted in bulk.
+
+    Each run of ticks within one whole second is formatted with that second's
+    digits fixed in the format string and its offset as "%06d", then stripped
+    of trailing zeros; only a run's first ticks can be the whole second itself.
+    """
+    texts: list[str] = []
+    start, count = 0, len(ticks)
+    while start < count:
+        whole = ticks[start] // TICKS_PER_SECOND
+        base = whole * TICKS_PER_SECOND
+        stop = bisect_left(ticks, base + TICKS_PER_SECOND, start + 1)
+        # below 1 s a tick is its own offset; the subtraction skipped there
+        # wins paired simulate-sweep runs (BENCH_13.json)
+        offsets = map(base.__rsub__, ticks[start:stop]) if base else ticks[start:stop]
+        texts += map(str.rstrip, map(f"{whole}.%06d".__mod__, offsets), repeat("0"))
+        if ticks[start] == base:
+            end = bisect_right(ticks, base, start + 1, stop)
+            texts[start:end] = [str(whole)] * (end - start)
+        start = stop
+    return texts

@@ -19,10 +19,12 @@ from pulsesched import (
     NoAdmissibleError,
     PulseSpec,
     ScenarioError,
+    StepProfile,
     aggregate_profile,
     cli,
     enforce_limit,
     prioritize_and_admit,
+    seconds_str,
 )
 from pulsesched.files import (
     MAX_DIGITS,
@@ -289,6 +291,21 @@ class TestWaveformExports:
             total += level * (t_next - t)
         expected = sum(Fraction(s.amplitude) * s.on_width for s in specs) / 10**6
         assert total == expected
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            StepProfile(3 * 10**6, (0, 999_999, 10**6, 2_500_000), (-3, 5, 0, 12), 8),
+            StepProfile(10, (0, 5), (1, 2), 3),
+        ],
+        ids=["negative-eighths", "thirds"],
+    )
+    def test_csv_rows_are_the_scalar_formatters(self, profile):
+        rows = [
+            f"{seconds_str(t)},{exact_str(Fraction(v, profile.denominator))}"
+            for t, v in zip(profile.breakpoints, profile.scaled)
+        ]
+        assert waveform_csv(profile) == "t_s,i_total_a\n" + "\n".join(rows) + "\n"
 
     def test_svg_is_a_single_polyline_step_chart(self):
         prof = aggregate_profile(

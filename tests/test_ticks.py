@@ -5,7 +5,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from pulsesched import (
@@ -16,7 +16,17 @@ from pulsesched import (
     prioritize_and_admit,
     ticks_from_seconds,
 )
-from pulsesched.ticks import MAX_DIGITS, MAX_EXPONENT, as_fraction, bounded_text, parse_ratio
+from pulsesched.ticks import (
+    MAX_DIGITS,
+    MAX_EXPONENT,
+    MAX_TICK,
+    TICKS_PER_SECOND,
+    as_fraction,
+    bounded_text,
+    parse_ratio,
+    seconds_str,
+    seconds_strs,
+)
 
 OVERSIZED = {
     "str": "1e999999999",
@@ -192,3 +202,57 @@ def test_as_fraction_refuses_misplaced_underscores(text):
     # Decimal's parser drops them; Fraction's grammar, which as_fraction now reads, does not
     with pytest.raises(ValueError, match="cannot parse"):
         as_fraction(text)
+
+
+@pytest.mark.parametrize(
+    "value, written",
+    [
+        (Fraction(1, 3), "1/3"),
+        (Decimal("0.0000005"), "5E-7"),
+        (" 0.0000005 ", "0.0000005"),
+        ("\t0.0000005\n", "0.0000005"),
+    ],
+    ids=["Fraction", "Decimal", "spaces", "tab-newline"],
+)
+def test_off_grid_seconds_are_named_as_written(value, written):
+    message = f"{written} s is not a whole number of 1 µs ticks"
+    with pytest.raises(NonRepresentableTimeError) as info:
+        ticks_from_seconds(value)
+    assert str(info.value) == message
+    with pytest.raises(NonRepresentableTimeError) as info:
+        PulseSpec.from_seconds(1, 1, "1", value)
+    assert str(info.value) == message
+
+
+S = TICKS_PER_SECOND
+
+
+@st.composite
+def sorted_ticks(draw) -> list[int]:
+    """Sorted ticks up to MAX_TICK in runs, each run within one whole second.
+
+    Runs sit on neighbouring seconds or far apart, start at 0 or near the top
+    of the tick range, and at times hold the whole second itself, repeated,
+    or its last ticks.
+    """
+    second = draw(st.sampled_from((0, 0, 1, 10**6, MAX_TICK // S - 2)))
+    offsets = st.one_of(st.just(0), st.integers(S - 2, S - 1), st.integers(0, S - 1))
+    ticks: list[int] = []
+    for _ in range(draw(st.integers(0, 4))):
+        run = draw(st.lists(offsets, max_size=40))
+        ticks += (t for t in sorted(second * S + o for o in run) if t <= MAX_TICK)
+        second += draw(st.sampled_from((1, 1, 2, 10**3, 10**9)))
+    return ticks
+
+
+@seed(20613)
+@settings(max_examples=400, deadline=None, database=None)
+@given(sorted_ticks())
+@example([])
+@example([0, S, 2 * S])
+@example([0, 0, S, S, S + 1, 2 * S, 2 * S])
+@example([S - 1, S, S + 1] + [3 * S + k for k in range(40)])
+@example(list(range(S - 20, S + 20)))
+@example([MAX_TICK - 1, MAX_TICK])
+def test_seconds_strs_is_seconds_str_in_bulk(ticks):
+    assert seconds_strs(ticks) == list(map(seconds_str, ticks))

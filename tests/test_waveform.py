@@ -287,14 +287,20 @@ ref_files = reference_module("files")
 
 @st.composite
 def fleets_on_mixed_denominators(draw):
-    """Small fleets whose amplitudes need a common denominator; some loads always on."""
-    unit = draw(st.sampled_from((1, 7, 1000)))
+    """Small fleets whose amplitudes need a common denominator; some loads always on.
+
+    Units of 25 ms and up give hyperperiods of seconds to minutes, and phases
+    on the unit grid put edges on whole seconds, so rows cross and land on
+    them, many to a second or few.
+    """
+    unit = draw(st.sampled_from((1, 7, 1000, 25_000, 250_000, S)))
     loads = []
     for i in range(draw(st.integers(1, 6))):
         period = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 10, 12, 15, 20, 24, 30)))
         width = draw(st.integers(1, period))
         amplitude = Fraction(draw(st.integers(1, 5000)), draw(st.sampled_from((1, 3, 7, 10, 12, 1000))))
-        loads.append((i + 1, amplitude, unit * period, unit * width, draw(st.integers(0, unit * period - 1))))
+        phase = draw(st.one_of(st.integers(0, period - 1).map(unit.__mul__), st.integers(0, unit * period - 1)))
+        loads.append((i + 1, amplitude, unit * period, unit * width, phase))
     return loads
 
 
