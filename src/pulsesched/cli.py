@@ -1,5 +1,11 @@
 """Batch front-end: simulate, schedule, or power-plan a scenario file.
 
+A run reads the scenario, computes, creates `--out`, writes every report and
+prints, in that order. `main` does all of that I/O. A `cmd_*` only computes:
+it returns its stdout lines, its reports ({file suffix: text}, in write order)
+and the profile its waveform files show (None: it has none). So a failed run
+prints nothing on stdout, and one that fails to read or compute leaves no `--out`.
+
 Exit codes: 0 success, 2 scenario validation failure (a quantity's decimal
 exponent beyond ±files.MAX_EXPONENT, a mantissa or "p/q" side of more than
 files.MAX_DIGITS digits, and JSON nested too deeply to parse included), 4
@@ -37,41 +43,24 @@ EXIT_CODES = {
 }
 
 
-def _print_metrics(label: str, m: Metrics) -> None:
-    print(
+def _metrics_line(label: str, m: Metrics) -> str:
+    return (
         f"{label}: min {amount_str(m.min_a)} A, max {amount_str(m.max_a)} A, "
         f"fluctuation {amount_str(m.fluctuation_a)} A, mean {amount_str(m.mean_a)} A"
     )
 
 
-def _emit_waveform(scenario: Scenario, args, profile, out: Path, stem: str) -> None:
-    if args.csv or scenario.emit_csv:
-        write_text_atomic(out / f"{stem}.waveform.csv", files.waveform_csv(profile))
-    if args.svg or scenario.emit_svg:
-        # the locale may have decoded the file name's bytes to lone surrogates,
-        # which UTF-8 cannot encode; the title reads those bytes as UTF-8
-        title = os.fsencode(stem).decode("utf-8", "replace")
-        write_text_atomic(out / f"{stem}.waveform.svg", files.waveform_svg(profile, title))
-
-
-def cmd_simulate(args) -> int:
-    scenario = load_scenario(args.scenario)
+def cmd_simulate(args, scenario: Scenario) -> tuple:
     for k, present in enumerate(scenario.explicit_phase):
         if not present:
-            raise ScenarioError(
-                f"{args.scenario}: loads[{k}].phase_s: required for simulation"
-            )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.scenario).stem
-
+            raise ScenarioError(f"{args.scenario}: loads[{k}].phase_s: required for simulation")
     profile = aggregate_profile(scenario.loads)
     metrics = profile_metrics(profile)
-    print(f"loads: {len(scenario.loads)}, hyperperiod: {seconds_str(profile.hyperperiod)} s")
-    _print_metrics("aggregate", metrics)
-    write_text_atomic(out / f"{stem}.metrics.json", files.metrics_json(metrics))
-    _emit_waveform(scenario, args, profile, out, stem)
-    return 0
+    lines = [
+        f"loads: {len(scenario.loads)}, hyperperiod: {seconds_str(profile.hyperperiod)} s",
+        _metrics_line("aggregate", metrics),
+    ]
+    return lines, {"metrics.json": files.metrics_json(metrics)}, profile
 
 
 def _schedule_rows(fleet: list[PulseSpec], plan: GroupPlan) -> list[dict]:
@@ -86,63 +75,45 @@ def _schedule_rows(fleet: list[PulseSpec], plan: GroupPlan) -> list[dict]:
     ]
 
 
-def cmd_schedule(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.scenario).stem
-
+def cmd_schedule(args, scenario: Scenario) -> tuple:
     before = profile_metrics(aggregate_profile(scenario.loads))
     fleet, plan = schedule_fleet(scenario.loads)
     after_profile = aggregate_profile(fleet)
     after = profile_metrics(after_profile)
-
     bins_total = sum(g.assignment.bins_used for g in plan.groups)
-    print(f"groups: {len(plan.groups)}, bin-type loads: {bins_total}")
-    _print_metrics("before", before)
-    _print_metrics("after", after)
+    lines = [
+        f"groups: {len(plan.groups)}, bin-type loads: {bins_total}",
+        _metrics_line("before", before),
+        _metrics_line("after", after),
+    ]
+    reports = {
+        "schedule.json": files.schedule_json(_schedule_rows(fleet, plan)),
+        "scheduled.json": files.scenario_json(fleet, scenario.p_max_w, scenario.power_mode),
+        "metrics_before.json": files.metrics_json(before),
+        "metrics_after.json": files.metrics_json(after),
+    }
+    return lines, reports, after_profile
 
-    write_text_atomic(out / f"{stem}.schedule.json", files.schedule_json(_schedule_rows(fleet, plan)))
-    write_text_atomic(
-        out / f"{stem}.scheduled.json",
-        files.scenario_json(fleet, scenario.p_max_w, scenario.power_mode),
-    )
-    write_text_atomic(out / f"{stem}.metrics_before.json", files.metrics_json(before))
-    write_text_atomic(out / f"{stem}.metrics_after.json", files.metrics_json(after))
-    _emit_waveform(scenario, args, after_profile, out, stem)
-    return 0
 
-
-def cmd_plan_power(args) -> int:
-    scenario = load_scenario(args.scenario)
+def cmd_plan_power(args, scenario: Scenario) -> tuple:
     if scenario.p_max_w is None:
         raise ScenarioError(f"{args.scenario}: power.p_max_w: required for plan-power")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.scenario).stem
-
     mode = args.mode or scenario.power_mode
-    loads = scenario.loads
-    derated = None
-    if mode is not None:
-        # de-rating keeps every load charging and trims the excess proportionally
-        plan = prioritize_and_admit(loads, scenario.p_max_w, derate=True)
-        if plan.p_sum_w > plan.p_max_w:
-            plan, derated = enforce_limit(plan, loads, mode)
-            write_text_atomic(
-                out / f"{stem}.derated.json", files.scenario_json(derated, scenario.p_max_w, mode)
-            )
-    else:
-        plan = prioritize_and_admit(loads, scenario.p_max_w)
-
-    write_text_atomic(out / f"{stem}.plan.json", files.plan_json(plan))
-    print(
+    # de-rating keeps every load charging and trims the excess proportionally;
+    # without it admission stops at the cap, so only a de-rating plan exceeds it
+    plan = prioritize_and_admit(scenario.loads, scenario.p_max_w, derate=mode is not None)
+    reports = {}
+    if plan.p_sum_w > plan.p_max_w:
+        plan, derated = enforce_limit(plan, scenario.loads, mode)
+        reports["derated.json"] = files.scenario_json(derated, scenario.p_max_w, mode)
+    reports["plan.json"] = files.plan_json(plan)
+    lines = [
         f"admitted: {list(plan.admitted)}, postponed: {list(plan.postponed)}, "
         f"scale: {amount_str(plan.scale)}"
-    )
-    if derated is not None:
-        print(f"de-rated ({mode}) scenario written to {stem}.derated.json")
-    return 0
+    ]
+    if "derated.json" in reports:
+        lines.append(f"de-rated ({mode}) scenario written to {Path(args.scenario).stem}.derated.json")
+    return lines, reports, None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,29 +123,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func, waveform=True):
         p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--csv", action="store_true", help="emit the waveform CSV")
-        p.add_argument("--svg", action="store_true", help="emit the waveform SVG")
+        if waveform:
+            p.add_argument("--csv", action="store_true", help="emit the waveform CSV")
+            p.add_argument("--svg", action="store_true", help="emit the waveform SVG")
+        p.set_defaults(func=func)
 
     p_sim = sub.add_parser("simulate", help="aggregate the loads as given and report metrics")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    common(p_sim, cmd_simulate)
 
     p_sched = sub.add_parser("schedule", help="group loads, stagger phases, report before/after")
-    common(p_sched)
+    common(p_sched, cmd_schedule)
     p_sched.add_argument(
-        "--allow-partial",
-        action="store_true",
-        help="accepted and ignored: every group is scheduled",
+        "--allow-partial", action="store_true", help="accepted and ignored: every group is scheduled"
     )
-    p_sched.set_defaults(func=cmd_schedule)
 
     p_plan = sub.add_parser("plan-power", help="admit loads under the power cap by SOC")
-    common(p_plan)
+    common(p_plan, cmd_plan_power, waveform=False)
     p_plan.add_argument("--mode", choices=MODES, help="enable de-rating")
-    p_plan.set_defaults(func=cmd_plan_power)
     return parser
 
 
@@ -184,7 +152,24 @@ _PARSER = _build_parser()  # parse_args keeps no state between calls
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        scenario = load_scenario(args.scenario)
+        lines, reports, profile = args.func(args, scenario)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        stem = Path(args.scenario).stem
+        for suffix, text in reports.items():
+            write_text_atomic(out / f"{stem}.{suffix}", text)
+        # each waveform text is built after the reports and written before the
+        # next is built, so at most one is held at a time
+        if profile is not None and (args.csv or scenario.emit_csv):
+            write_text_atomic(out / f"{stem}.waveform.csv", files.waveform_csv(profile))
+        if profile is not None and (args.svg or scenario.emit_svg):
+            # the locale may have decoded the file name's bytes to lone surrogates,
+            # which UTF-8 cannot encode; the title reads those bytes as UTF-8
+            title = os.fsencode(stem).decode("utf-8", "replace")
+            write_text_atomic(out / f"{stem}.waveform.svg", files.waveform_svg(profile, title))
+        print("\n".join(lines))
+        return 0
     except (PulseSchedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         codes = (code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))

@@ -121,10 +121,12 @@ def ticks_from_seconds(value) -> int:
     except ValueError as exc:
         raise NonRepresentableTimeError(str(exc)) from exc
     if frac.denominator != 1:
-        # the value as written: a Fraction as p/q, a string with its whitespace
-        # collapsed so the message stays on one line
-        written = " ".join(str(value).split())
-        raise NonRepresentableTimeError(f"{written} s is not a whole number of 1 µs ticks")
+        # the value as written (a Fraction as p/q), whitespace collapsed onto one line
+        try:
+            written = " ".join(str(value).split()) + " s"
+        except ValueError:  # by default str() prints no int of more than 4300 digits
+            written = f"a {value.numerator.bit_length()}-bit / {value.denominator.bit_length()}-bit Fraction"
+        raise NonRepresentableTimeError(f"{written} is not a whole number of 1 µs ticks")
     return frac.numerator
 
 
@@ -132,9 +134,7 @@ def seconds_str(ticks: int) -> str:
     """Render ticks as a canonical decimal seconds string (≤ 6 fractional digits)."""
     sign = "-" if ticks < 0 else ""
     whole, frac = divmod(abs(ticks), TICKS_PER_SECOND)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:06d}".rstrip("0")
+    return f"{sign}{whole}.{frac:06d}".rstrip("0").rstrip(".")
 
 
 def seconds_strs(ticks: tuple[int, ...] | list[int]) -> list[str]:

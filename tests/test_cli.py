@@ -71,9 +71,12 @@ class TestSimulate:
             '{"id": 2, "amplitude_a": 1, "frequency_hz": "1000000/10000001", '
             '"duty_pct": "100/10000001", "phase_s": 0}]}'
         )
-        assert run(["simulate", sc, "--out", tmp_path]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "edges" in err
+        out = tmp_path / "out"
+        assert run(["simulate", sc, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "edges" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 # two always-on loads whose periods' LCM exceeds the 2^63 - 1 tick range
@@ -205,6 +208,16 @@ class TestErrorContract:
         assert captured.err.startswith(f"error: cannot write {str(out)!r}: ")
         assert captured.err.count("\n") == 1
 
+    def test_report_that_cannot_be_written_exits_3_printing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "scenario1_random.metrics.json").mkdir(parents=True)
+        assert run(["simulate", SCENARIOS / "scenario1_random.json", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+        assert captured.err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["scenario1_random.metrics.json"]
+
     @pytest.mark.parametrize("raw", ['"1e5000"', "1e5000", '"1e999999999"', "1e999999999"])
     def test_oversized_exponent_exits_2(self, tmp_path, capsys, raw):
         sc = tmp_path / "huge.json"
@@ -300,6 +313,15 @@ class TestPlanPower:
         assert plan["postponed"] == [3]
         assert plan["scale"] == "1"
 
+    @pytest.mark.parametrize("flag", ["--csv", "--svg"])
+    def test_waveform_flags_are_a_usage_error(self, tmp_path, capsys, flag):
+        # plan-power writes no waveform, so it takes no waveform flags
+        with pytest.raises(SystemExit) as info:
+            run(["plan-power", SCENARIOS / "power_demo.json", "--out", tmp_path, flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_amplitude_mode_scales_five_sixths(self, tmp_path):
         sc = tmp_path / "cap.json"
         sc.write_text(
@@ -326,9 +348,12 @@ class TestPlanPower:
             '{"id": 3, "amplitude_a": 2, "frequency_hz": 2, "duty_pct": 50, "voltage_v": 400, "soc_pct": 80}],'
             ' "power": {"p_max_w": 1000}}'
         )
-        assert run(["plan-power", sc, "--out", tmp_path, "--mode", "duty"]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "offgrid.derated.json").exists()
+        out = tmp_path / "out"
+        assert run(["plan-power", sc, "--out", out, "--mode", "duty"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_cap_below_smallest_load_exits_3(self, tmp_path):
         sc = tmp_path / "tiny.json"

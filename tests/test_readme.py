@@ -1,9 +1,11 @@
 """The README's examples run and print what the README shows."""
+import argparse
 import contextlib
 import io
 import re
 from pathlib import Path
 
+from pulsesched import cli
 from pulsesched.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,6 +23,17 @@ def test_schedule_example_prints_the_lines_shown(tmp_path):
     with contextlib.redirect_stdout(stdout):
         assert main(argv) == 0
     assert stdout.getvalue().splitlines() == [line.removeprefix("# ") for line in shown]
+
+
+def test_synopsis_lists_each_commands_options():
+    [block] = [text for _, text in BLOCKS if text.startswith("pulsesched simulate ")]
+    [commands] = [a.choices for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    shown = {line.split()[1]: set(re.findall(r"\[(-[-\w]+)", line)) for line in block.splitlines()}
+    accepted = {
+        name: {option for action in sub._actions for option in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert shown == accepted
 
 
 def test_library_snippet_runs():
