@@ -1,16 +1,17 @@
 """Scenario files, schedule/metrics/plan reports, and waveform exports.
 
-Scenario files are JSON. Quantities may be JSON numbers or strings; either
-way one integer parser, `ticks.parse_ratio`, reads them exactly as a
-numerator and denominator. It reads what Fraction reads, "p/q" included, and
-refuses an out-of-bound exponent or digit count before it builds a number.
-Loads are checked on those integers. Emitted files render every quantity as
-a canonical decimal string - seconds with up to six fractional digits,
-amounts rounded half-even to three - falling back to "p/q" where a time-
-structural value (frequency, duty) has no finite decimal form. The waveform
-writers format in bulk, each distinct level once, with the bytes that
-`seconds_str` and `exact_str` give. All writes go through a temp file and
-rename, and repeated runs produce identical bytes.
+Scenario files are JSON. A quantity may be a JSON number or a string: a
+number stays text until its field is read, so one integer parser,
+`ticks.parse_ratio`, reads both exactly as a numerator and denominator, and a
+refusal names the file and field either way. It reads what Fraction reads,
+"p/q" included, and refuses an out-of-bound exponent or digit count before it
+builds a number. Loads are checked on those integers. Emitted files render
+every quantity as a canonical decimal string - seconds with up to six
+fractional digits, amounts rounded half-even to three - falling back to "p/q"
+where a time-structural value (frequency, duty) has no finite decimal form.
+The waveform writers format in bulk, each distinct level once, with the bytes
+that `seconds_str` and `exact_str` give. All writes go through a temp file
+and rename, and repeated runs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -66,29 +67,18 @@ def _ratio_str(num: int, den: int) -> str:
     return seconds_str(micros)
 
 
-class _Number:
-    """A JSON number token: its exact value num/den (den > 0) and its text."""
+class _Number(str):
+    """A JSON number token's text, read by `_quantity` as a string is."""
 
-    __slots__ = ("num", "den", "text")
-
-    def __init__(self, num: int, den: int, text: str):
-        self.num, self.den, self.text = num, den, text
-
-
-def _read_number(text: str, path: Path) -> tuple[int, int]:
-    """A JSON number token's exact value; its bounds are checked as the document is read."""
-    try:
-        return parse_ratio(text)  # a JSON number is always in Fraction's grammar
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    __slots__ = ()
 
 
 def _quantity(raw, where: str, parsed: dict[str, tuple[int, int]]) -> tuple[int, int]:
     """The exact value of a scenario quantity as (num, den), den > 0.
 
-    `parsed` holds the strings of the document read so far, each parsed once.
+    `parsed` holds the texts of the document read so far, each parsed once.
     """
-    if isinstance(raw, str):
+    if isinstance(raw, str):  # a string or a _Number
         ratio = parsed.get(raw)
         if ratio is None:
             try:
@@ -99,12 +89,8 @@ def _quantity(raw, where: str, parsed: dict[str, tuple[int, int]]) -> tuple[int,
                 raise ScenarioError(f"{where}: cannot parse {raw!r} as an exact number")
             parsed[raw] = ratio
         return ratio
-    if isinstance(raw, _Number):
-        return raw.num, raw.den
     if isinstance(raw, bool):
         raise ScenarioError(f"{where}: expected a number, got a boolean")
-    if isinstance(raw, int):
-        return raw, 1
     raise ScenarioError(f"{where}: expected a number or numeric string, got {type(raw).__name__}")
 
 
@@ -127,8 +113,8 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         doc = json.loads(
             text,
-            parse_float=lambda s: _Number(*_read_number(s, path), s),
-            parse_int=lambda s: _read_number(s, path)[0],
+            parse_float=_Number,
+            parse_int=_Number,
             parse_constant=lambda s: (_ for _ in ()).throw(ValueError(s)),
         )
     except ValueError as exc:
@@ -160,7 +146,9 @@ def load_scenario(path: str | Path) -> Scenario:
             if key not in entry:
                 raise ScenarioError(f"{where}.{key}: missing")
         load_id = entry["id"]
-        if not isinstance(load_id, (int, str)) or isinstance(load_id, bool):
+        if isinstance(load_id, _Number) and load_id.lstrip("-").isdigit():  # an integer token
+            load_id = _quantity(load_id, f"{where}.id", parsed)[0]
+        if type(load_id) not in (int, str):  # a float token, a boolean, ...
             raise ScenarioError(f"{where}.id: must be an integer or string")
         if load_id in seen_ids:
             raise ScenarioError(f"{where}.id: duplicate id {load_id!r}")
@@ -194,12 +182,9 @@ def load_scenario(path: str | Path) -> Scenario:
             raw = entry["phase_s"]
             phase_num, phase_den = _quantity(raw, f"{where}.phase_s", parsed)
             phase, rest = divmod(phase_num * TICKS_PER_SECOND, phase_den)
-            if rest:  # so raw is a str or a _Number: an int phase is whole seconds
-                # a string's whitespace is collapsed, so the message stays on one line
-                written = raw.text if isinstance(raw, _Number) else " ".join(raw.split())
-                raise ScenarioError(
-                    f"{where}.phase_s: {written} s is not a whole number of 1 µs ticks"
-                )
+            if rest:  # named as written, whitespace collapsed so the message stays on one line
+                written = " ".join(raw.split())
+                raise ScenarioError(f"{where}.phase_s: {written} s is not a whole number of 1 µs ticks")
             if phase < 0:
                 raise ScenarioError(f"{where}.phase_s: must be non-negative")
 
@@ -262,18 +247,21 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
-    """Write `text` as UTF-8 via temp file + rename so readers never see a partial file."""
+    """Write UTF-8 `text` to `path` atomically (temp file + rename); an OSError names `path`."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open() gives
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open()
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # not the temp file's name: that file is gone
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _dump_json(obj) -> str:

@@ -70,6 +70,18 @@ def _mean_powers(specs: list[PulseSpec]) -> tuple[list[int], int]:
     return powers, den
 
 
+def _fitting_prefix(powers: list[int], den: int, cap: Fraction) -> tuple[int, int]:
+    """The length and sum of the longest prefix of `powers` whose sum over `den` fits `cap`."""
+    limit = cap.numerator * den  # total / den <= cap  <=>  total * cap.denominator <= limit
+    total = count = 0
+    for p in powers:
+        if (total + p) * cap.denominator > limit:
+            break
+        total += p
+        count += 1
+    return count, total
+
+
 def prioritize_and_admit(specs: list[PulseSpec], p_max, derate: bool = False) -> PowerPlan:
     """Admit loads in ascending-SOC order while the summed mean power fits the cap.
 
@@ -84,14 +96,7 @@ def prioritize_and_admit(specs: list[PulseSpec], p_max, derate: bool = False) ->
         raise EmptyInputError("nothing to admit")
     ordered = _soc_order(specs)
     powers, den = _mean_powers(ordered)
-    # p_sum / den <= p_max  <=>  p_sum * p_max.denominator <= limit
-    limit = p_max.numerator * den
-    p_sum = count = 0  # the admitted loads' mean-power sum over den, and their number
-    for p in powers:
-        if not derate and (p_sum + p) * p_max.denominator > limit:
-            break
-        p_sum += p
-        count += 1
+    count, p_sum = (len(powers), sum(powers)) if derate else _fitting_prefix(powers, den, p_max)
     if not count:
         s = ordered[0]
         raise NoAdmissibleError(
@@ -149,14 +154,7 @@ def backfill(plan: PowerPlan, specs: list[PulseSpec], p_max) -> PowerPlan:
     by_id = {s.id: s for s in specs}
     room = p_max - plan.p_sum_w * plan.scale  # what the cap leaves over the drawn power
     powers, den = _mean_powers([by_id[load_id] for load_id in plan.postponed])
-    # moved / den <= room  <=>  moved * room.denominator <= limit
-    limit = room.numerator * den
-    moved = count = 0  # the newcomers' mean-power sum over den, and their number
-    for p in powers:
-        if (moved + p) * room.denominator > limit:
-            break
-        moved += p
-        count += 1
+    count, moved = _fitting_prefix(powers, den, room)  # the newcomers, and their sum over den
     if not count:
         return plan
     # newcomers are unscaled; fold them into the pre-scale sum so that

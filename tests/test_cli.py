@@ -214,7 +214,9 @@ class TestErrorContract:
         assert run(["simulate", SCENARIOS / "scenario1_random.json", "--out", out]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: cannot write ")
+        # the report, not the temp file, which is gone
+        assert captured.err.startswith(f"error: cannot write '{out / 'scenario1_random.metrics.json'}': ")
+        assert ".tmp" not in captured.err
         assert captured.err.count("\n") == 1
         assert [p.name for p in out.iterdir()] == ["scenario1_random.metrics.json"]
 

@@ -79,6 +79,7 @@ class TestLoadScenario:
         sc = load_scenario(path)
         assert sc.loads[0].phase == 650000
         assert sc.loads[0].amplitude == 10
+        assert type(sc.loads[0].id) is int  # an integer token is an int id
 
     def test_rational_strings_ingest_exactly(self, tmp_path):
         path = write_scenario(
@@ -158,7 +159,7 @@ class TestLoadScenario:
     )
     def test_exponent_beyond_the_bound_rejected(self, tmp_path, raw):
         sc = amplitude_scenario(tmp_path, raw)
-        with pytest.raises(ScenarioError, match="exponent"):
+        with pytest.raises(ScenarioError, match=r"loads\[0\]\.amplitude_a: exponent"):
             load_scenario(sc)
 
     @pytest.mark.parametrize("raw", ['"1e999999999"', "1e999999999"])
@@ -188,7 +189,7 @@ class TestLoadScenario:
     )
     def test_digits_beyond_the_bound_rejected(self, tmp_path, raw):
         sc = amplitude_scenario(tmp_path, raw)
-        with pytest.raises(ScenarioError, match="digits"):
+        with pytest.raises(ScenarioError, match=r"loads\[0\]\.amplitude_a: .*digits"):
             load_scenario(sc)
 
     @pytest.mark.parametrize(
@@ -228,6 +229,13 @@ REFUSALS = {
     "top level not an object": ("[]", "sc.json: top level must be an object"),
     "load not an object": ('{"loads": [1]}', "loads[0]: must be an object"),
     "id neither int nor str": (scenario_with({"id": 1.5}), "loads[0].id: must be an integer"),
+    "id spelled with an exponent": (
+        scenario_with().replace('"id": 1,', '"id": 1e2,'), "loads[0].id: must be an integer"
+    ),
+    "id beyond the digit bound": (scenario_with({"id": 10**MAX_DIGITS}), "loads[0].id: "),
+    "unparseable quantity": (
+        scenario_with({"amplitude_a": "1.d"}), "loads[0].amplitude_a: cannot parse '1.d'"
+    ),
     "frequency not positive": (scenario_with({"frequency_hz": 0}), "loads[0].frequency_hz: "),
     "phase off the tick grid": (scenario_with({"phase_s": "1/3"}), "loads[0].phase_s: "),
     "negative phase": (scenario_with({"phase_s": -1}), "loads[0].phase_s: must be non-negative"),
@@ -334,6 +342,18 @@ class TestAtomicWrite:
         with pytest.raises(UnicodeEncodeError):
             write_text_atomic(tmp_path / "x.json", "lone surrogate \ud800")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stage", ["create", "rename"])
+    def test_os_error_names_the_target_not_the_temp_file(self, tmp_path, stage):
+        target = tmp_path / "x.json"
+        if stage == "create":
+            target = tmp_path / "missing" / "x.json"
+        else:
+            target.mkdir()  # the temp file is written, and renaming it over a directory fails
+        with pytest.raises(OSError) as info:
+            write_text_atomic(target, "hello")
+        assert info.value.filename == str(target)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if stage == "create" else ["x.json"])
 
     def test_writes_without_touching_the_umask(self, tmp_path, monkeypatch):
         # the umask is process-wide: setting it, even briefly, races other threads

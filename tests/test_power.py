@@ -36,19 +36,28 @@ def load(id, soc, power_w=400, duty=Fraction(1, 2)):
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, error, message",
     [
-        (lambda specs: prioritize_and_admit(specs, 0), "cap 0 must be positive"),
-        (lambda specs: prioritize_and_admit(specs, -5), "cap -5 must be positive"),
+        (lambda specs: prioritize_and_admit(specs, 0), ValueError, "cap 0 must be positive"),
+        (lambda specs: prioritize_and_admit(specs, -5), ValueError, "cap -5 must be positive"),
         (
             lambda specs: enforce_limit(prioritize_and_admit(specs, 100, derate=True), specs, "phase"),
+            ValueError,
             "mode must be one of",
         ),
+        (
+            # load 2 is postponed at 500 W; backfill reads its voltage, which it lacks here
+            lambda specs: backfill(
+                prioritize_and_admit(specs, 500), [specs[0], replace(specs[1], voltage=None)], 1000
+            ),
+            MissingVoltageError,
+            "load 2 carries no charging voltage",
+        ),
     ],
-    ids=["zero cap", "negative cap", "unknown mode"],
+    ids=["zero cap", "negative cap", "unknown mode", "backfill without voltage"],
 )
-def test_refusals(call, message):
-    with pytest.raises(ValueError, match=message):
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=message):
         call([load(1, 20), load(2, 50)])
 
 

@@ -192,7 +192,7 @@ def test_parse_ratio_values(text, value):
     assert Fraction(*parse_ratio(text)) == value == Fraction(text)
 
 
-@pytest.mark.parametrize("text", ["", ".", "1/0", "1.2/3", "0x10", "1e", "inf", "1 2"])
+@pytest.mark.parametrize("text", ["", ".", "1/0", "1.2/3", "0x10", "1e", "inf", "1 2", "1.d"])
 def test_parse_ratio_refusals_are_none(text):
     assert parse_ratio(text) is None
 
