@@ -81,8 +81,17 @@ def _derating_ratio(specs: list[PulseSpec], p_max, p_sum) -> Fraction:
 def scale_amplitudes_to_limit(specs: list[PulseSpec], p_max, p_sum) -> list[PulseSpec]:
     """Multiply every amplitude by cap/total; duties, phases, periods unchanged."""
     ratio = _derating_ratio(specs, p_max, p_sum)
-    # a positive ratio keeps every amplitude positive: the specs stay valid
-    return [PulseSpec._checked({**vars(s), "amplitude": s.amplitude * ratio}) for s in specs]
+    scaled: dict[tuple[int, int], Fraction] = {}  # each distinct amplitude multiplied once
+    out = []
+    for s in specs:
+        amp = s.amplitude
+        key = amp.numerator, amp.denominator
+        new = scaled.get(key)
+        if new is None:
+            new = scaled[key] = amp * ratio
+        # a positive ratio keeps every amplitude positive: the specs stay valid
+        out.append(PulseSpec._checked({**vars(s), "amplitude": new}))
+    return out
 
 
 def scale_duties_to_limit(specs: list[PulseSpec], p_max, p_sum) -> list[PulseSpec]:

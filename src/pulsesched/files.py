@@ -5,11 +5,19 @@ number stays text until its field is read, so one integer parser,
 `ticks.parse_ratio`, reads both exactly as a numerator and denominator, and a
 refusal names the file and field either way. It reads what Fraction reads,
 "p/q" included, and refuses an out-of-bound exponent or digit count before it
-builds a number. Loads are checked on those integers. Emitted files render
-every quantity as a canonical decimal string - seconds with up to six
-fractional digits, amounts rounded half-even to three - falling back to "p/q"
-where a time-structural value (frequency, duty) has no finite decimal form.
-The waveform writers format in bulk, each distinct level once, with the bytes
+builds a number. Each field's checked value is kept by its text (duty and
+phase by text and period), so a fleet that repeats a value parses and checks
+it once, and only a refusal builds the message naming its load.
+
+Emitted files render every quantity as a canonical decimal string - seconds
+with up to six fractional digits, amounts rounded half-even to three -
+falling back to "p/q" where a time-structural value (frequency, duty) has no
+finite decimal form. The JSON reports are the bytes of json.dumps(doc,
+indent=2, sort_keys=True), built without it, since any indent selects
+json's pure-Python encoder: a scenario or schedule row is one "%" template,
+each distinct quantity is rendered once per document, and a flat list or
+object is one C-encoder call whose item separator carries the indent. The
+waveform writers format in bulk, each distinct level once, with the bytes
 that `seconds_str` and `exact_str` give. All writes go through a temp file
 and rename, and repeated runs produce identical bytes.
 """
@@ -68,40 +76,94 @@ def _ratio_str(num: int, den: int) -> str:
 
 
 class _Number(str):
-    """A JSON number token's text, read by `_quantity` as a string is."""
+    """A JSON number token's text, read by `_ratio` as a string is."""
 
     __slots__ = ()
 
 
-def _quantity(raw, where: str, parsed: dict[str, tuple[int, int]]) -> tuple[int, int]:
+def _ratio(raw, ratios: dict[str, tuple[int, int]]) -> tuple[int, int]:
     """The exact value of a scenario quantity as (num, den), den > 0.
 
-    `parsed` holds the texts of the document read so far, each parsed once.
+    `ratios` holds the texts of the document read so far, each parsed once.
+    A refusal is a ScenarioError that the caller anchors to its field.
     """
     if isinstance(raw, str):  # a string or a _Number
-        ratio = parsed.get(raw)
+        ratio = ratios.get(raw)
         if ratio is None:
             try:
                 ratio = parse_ratio(raw)
             except ValueError as exc:
-                raise ScenarioError(f"{where}: {exc}") from exc
+                raise ScenarioError(str(exc)) from exc
             if ratio is None:
-                raise ScenarioError(f"{where}: cannot parse {raw!r} as an exact number")
-            parsed[raw] = ratio
+                raise ScenarioError(f"cannot parse {raw!r} as an exact number")
+            ratios[raw] = ratio
         return ratio
     if isinstance(raw, bool):
-        raise ScenarioError(f"{where}: expected a number, got a boolean")
-    raise ScenarioError(f"{where}: expected a number or numeric string, got {type(raw).__name__}")
+        raise ScenarioError("expected a number, got a boolean")
+    raise ScenarioError(f"expected a number or numeric string, got {type(raw).__name__}")
+
+
+# The checks of the load fields, each from the field's raw value (and the
+# load's period) to the value a PulseSpec holds.
+
+
+def _positive(raw, ratios) -> Fraction:
+    num, den = _ratio(raw, ratios)
+    if num <= 0:
+        raise ScenarioError("must be positive")
+    return Fraction(num, den)
+
+
+def _period(raw, ratios) -> int:
+    num, den = _ratio(raw, ratios)
+    if num <= 0:
+        raise ScenarioError("must be positive")
+    period, rest = divmod(TICKS_PER_SECOND * den, num)
+    if rest:
+        raise ScenarioError(f"period 1/{Fraction(num, den)} s is not a whole number of 1 µs ticks")
+    return period
+
+
+def _on_width(raw, ratios, period: int) -> int:
+    num, den = _ratio(raw, ratios)
+    if not 0 < num <= 100 * den:
+        raise ScenarioError("must lie in (0, 100]")
+    on_width, rest = divmod(period * num, 100 * den)
+    if rest:
+        raise ScenarioError(
+            f"{Fraction(num, den)}% of {seconds_str(period)} s is not a whole number of 1 µs ticks"
+        )
+    return on_width
+
+
+def _phase(raw, ratios, period: int) -> int:
+    num, den = _ratio(raw, ratios)
+    phase, rest = divmod(num * TICKS_PER_SECOND, den)
+    if rest:  # named as written, whitespace collapsed so the message stays on one line
+        raise ScenarioError(f"{' '.join(raw.split())} s is not a whole number of 1 µs ticks")
+    if phase < 0:
+        raise ScenarioError("must be non-negative")
+    return phase % period
+
+
+def _soc(raw, ratios) -> Fraction:
+    num, den = _ratio(raw, ratios)
+    if not 0 <= num <= 100 * den:
+        raise ScenarioError("must lie in [0, 100]")
+    return Fraction(num, 100 * den)
 
 
 _LOAD_KEYS = {"id", "amplitude_a", "frequency_hz", "duty_pct", "phase_s", "voltage_v", "soc_pct"}
+_REQUIRED = ("id", "amplitude_a", "frequency_hz", "duty_pct")
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate one scenario file; errors are anchored to file and field.
 
-    Every check runs on the integers of each quantity's (num, den); a load's
-    Fractions are built once, for its PulseSpec.
+    Each field's checked value is kept by its text (duty and phase by text and
+    period), so a fleet that repeats a value checks it once. Checks run on the
+    integers of each quantity's (num, den), and only the first load with a
+    value pays for its check, its Fractions and, on a refusal, its message.
     """
     path = Path(path)
     try:
@@ -131,84 +193,64 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(raw_loads, list) or not raw_loads:
         raise ScenarioError(f"{path}: loads: must be a non-empty array")
 
+    ratios: dict[str, tuple[int, int]] = {}  # a fleet repeats its quantities' texts
+    checked: dict[tuple, object] = {}  # (check, text[, period]) -> the value it passed
+
+    def read(check, key: str, raw, *period):
+        """check's value for the load's `raw` (and period), checked once per document."""
+        memo = (check, raw, *period)
+        try:
+            return checked[memo]
+        except (KeyError, TypeError):  # not seen yet, or unhashable: an array or object
+            pass
+        try:
+            value = check(raw, ratios, *period)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}: loads[{k}].{key}: {exc}") from exc
+        checked[memo] = value
+        return value
+
     loads: list[PulseSpec] = []
     explicit: list[bool] = []
     seen_ids: set = set()
-    parsed: dict[str, tuple[int, int]] = {}  # a fleet repeats its quantities' texts
     for k, entry in enumerate(raw_loads):
-        where = f"{path}: loads[{k}]"
         if not isinstance(entry, dict):
-            raise ScenarioError(f"{where}: must be an object")
-        bad = set(entry) - _LOAD_KEYS
-        if bad:
-            raise ScenarioError(f"{where}: unknown keys {sorted(bad)}")
-        for key in ("id", "amplitude_a", "frequency_hz", "duty_pct"):
+            raise ScenarioError(f"{path}: loads[{k}]: must be an object")
+        if not entry.keys() <= _LOAD_KEYS:
+            raise ScenarioError(f"{path}: loads[{k}]: unknown keys {sorted(set(entry) - _LOAD_KEYS)}")
+        for key in _REQUIRED:
             if key not in entry:
-                raise ScenarioError(f"{where}.{key}: missing")
+                raise ScenarioError(f"{path}: loads[{k}].{key}: missing")
         load_id = entry["id"]
         if isinstance(load_id, _Number) and load_id.lstrip("-").isdigit():  # an integer token
-            load_id = _quantity(load_id, f"{where}.id", parsed)[0]
+            try:  # each id is its own text: parsed once, with no memo
+                load_id = parse_ratio(load_id)[0]
+            except ValueError as exc:
+                raise ScenarioError(f"{path}: loads[{k}].id: {exc}") from exc
         if type(load_id) not in (int, str):  # a float token, a boolean, ...
-            raise ScenarioError(f"{where}.id: must be an integer or string")
+            raise ScenarioError(f"{path}: loads[{k}].id: must be an integer or string")
         if load_id in seen_ids:
-            raise ScenarioError(f"{where}.id: duplicate id {load_id!r}")
+            raise ScenarioError(f"{path}: loads[{k}].id: duplicate id {load_id!r}")
         seen_ids.add(load_id)
 
-        amp_num, amp_den = _quantity(entry["amplitude_a"], f"{where}.amplitude_a", parsed)
-        if amp_num <= 0:
-            raise ScenarioError(f"{where}.amplitude_a: must be positive")
-        freq_num, freq_den = _quantity(entry["frequency_hz"], f"{where}.frequency_hz", parsed)
-        if freq_num <= 0:
-            raise ScenarioError(f"{where}.frequency_hz: must be positive")
-        period, rest = divmod(TICKS_PER_SECOND * freq_den, freq_num)
-        if rest:
-            raise ScenarioError(
-                f"{where}.frequency_hz: period 1/{Fraction(freq_num, freq_den)} s "
-                "is not a whole number of 1 µs ticks"
-            )
-        duty_num, duty_den = _quantity(entry["duty_pct"], f"{where}.duty_pct", parsed)
-        if not 0 < duty_num <= 100 * duty_den:
-            raise ScenarioError(f"{where}.duty_pct: must lie in (0, 100]")
-        on_width, rest = divmod(period * duty_num, 100 * duty_den)
-        if rest:
-            raise ScenarioError(
-                f"{where}.duty_pct: {Fraction(duty_num, duty_den)}% of {seconds_str(period)} s "
-                "is not a whole number of 1 µs ticks"
-            )
-
-        phase = 0
+        amplitude = read(_positive, "amplitude_a", entry["amplitude_a"])
+        period = read(_period, "frequency_hz", entry["frequency_hz"])
+        on_width = read(_on_width, "duty_pct", entry["duty_pct"], period)
         has_phase = "phase_s" in entry
-        if has_phase:
-            raw = entry["phase_s"]
-            phase_num, phase_den = _quantity(raw, f"{where}.phase_s", parsed)
-            phase, rest = divmod(phase_num * TICKS_PER_SECOND, phase_den)
-            if rest:  # named as written, whitespace collapsed so the message stays on one line
-                written = " ".join(raw.split())
-                raise ScenarioError(f"{where}.phase_s: {written} s is not a whole number of 1 µs ticks")
-            if phase < 0:
-                raise ScenarioError(f"{where}.phase_s: must be non-negative")
-
-        voltage = None
+        phase = read(_phase, "phase_s", entry["phase_s"], period) if has_phase else 0
+        voltage = soc = None
         if "voltage_v" in entry:
-            volt_num, volt_den = _quantity(entry["voltage_v"], f"{where}.voltage_v", parsed)
-            if volt_num <= 0:
-                raise ScenarioError(f"{where}.voltage_v: must be positive")
-            voltage = Fraction(volt_num, volt_den)
-        soc = None
+            voltage = read(_positive, "voltage_v", entry["voltage_v"])
         if "soc_pct" in entry:
-            soc_num, soc_den = _quantity(entry["soc_pct"], f"{where}.soc_pct", parsed)
-            if not 0 <= soc_num <= 100 * soc_den:
-                raise ScenarioError(f"{where}.soc_pct: must lie in [0, 100]")
-            soc = Fraction(soc_num, 100 * soc_den)
-
+            soc = read(_soc, "soc_pct", entry["soc_pct"])
         loads.append(
             PulseSpec._checked(
                 {
                     "id": load_id,
-                    "amplitude": Fraction(amp_num, amp_den),
+                    "amplitude": amplitude,
                     "period": period,
                     "on_width": on_width,
-                    "phase": phase % period,
+                    "phase": phase,
                     "voltage": voltage,
                     "soc": soc,
                 }
@@ -224,10 +266,10 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{where}: must be an object with p_max_w and optional mode")
         if "p_max_w" not in power:
             raise ScenarioError(f"{where}.p_max_w: missing")
-        p_max_num, p_max_den = _quantity(power["p_max_w"], f"{where}.p_max_w", parsed)
-        if p_max_num <= 0:
-            raise ScenarioError(f"{where}.p_max_w: must be positive")
-        scenario.p_max_w = Fraction(p_max_num, p_max_den)
+        try:
+            scenario.p_max_w = _positive(power["p_max_w"], ratios)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}.p_max_w: {exc}") from exc
         mode = power.get("mode")
         if mode is not None:
             if mode not in MODES:
@@ -264,65 +306,111 @@ def write_text_atomic(path: Path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _flat(container, depth: int = 0) -> str:
+    """json.dumps(container, indent=2, sort_keys=True) for a list or dict of scalars
+    nested `depth` levels deep, in one call of the C encoder, which any indent turns off."""
+    pad = "\n" + "  " * (depth + 1)
+    text = json.dumps(container, sort_keys=True, separators=("," + pad, ": "))
+    if len(text) == 2:  # [] or {}
+        return text
+    return f"{text[0]}{pad}{text[1:-1]}{pad[:-2]}{text[-1]}"
+
+
+def _id_json(load_id) -> str:
+    return str(load_id) if type(load_id) is int else json.dumps(load_id)
+
+
+class _RatioTexts(dict):
+    """_ratio_str by (num, den), each distinct pair rendered once."""
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        text = self[key] = _ratio_str(*key)
+        return text
 
 
 def metrics_json(metrics: Metrics) -> str:
-    return _dump_json(
+    return _flat(
         {
             "min_a": amount_str(metrics.min_a),
             "max_a": amount_str(metrics.max_a),
             "fluctuation_a": amount_str(metrics.fluctuation_a),
             "mean_a": amount_str(metrics.mean_a),
         }
-    )
+    ) + "\n"
+
+
+# json.dumps(row, indent=2, sort_keys=True) of a scenario row at depth 2, for
+# each (has voltage, has soc): every value but the id is a quantity text,
+# which JSON needs no escape for
+_ROW = (
+    '    {\n      "amplitude_a": "%s",\n      "duty_pct": "%s",\n      "frequency_hz": "%s",'
+    '\n      "id": %s,\n      "phase_s": "%s"'
+)
+_ROWS = {
+    (False, False): _ROW + "\n    }",
+    (True, False): _ROW + ',\n      "voltage_v": "%s"\n    }',
+    (False, True): _ROW + ',\n      "soc_pct": "%s"\n    }',
+    (True, True): _ROW + ',\n      "soc_pct": "%s",\n      "voltage_v": "%s"\n    }',
+}
+_SCHEDULE_ROW = (
+    '    {\n      "group": %d,\n      "id": %s,\n      "phase_s": "%s",\n      "role": "%s"\n    }'
+)
+
+
+def _loads_json(rows: list[str], tail: str = "") -> str:
+    """The document {"loads": rows, ...} from its rendered rows and its rendered other keys."""
+    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return f'{{\n  "loads": {body}{tail}\n}}\n'
 
 
 def scenario_json(
     loads: list[PulseSpec], p_max_w: Fraction | None = None, power_mode: str | None = None
 ) -> str:
     """Re-ingestible scenario document; loads ordered by id, quantities lossless."""
+    texts = _RatioTexts()
     rows = []
     for s in sorted(loads, key=lambda s: load_sort_key(s.id)):
-        amp, volt, soc = s.amplitude, s.voltage, s.soc
-        row = {
-            "id": s.id,
-            "amplitude_a": _ratio_str(amp.numerator, amp.denominator),
-            "frequency_hz": _ratio_str(TICKS_PER_SECOND, s.period),
-            "duty_pct": _ratio_str(100 * s.on_width, s.period),
-            "phase_s": seconds_str(s.phase),
-        }
-        if volt is not None:
-            row["voltage_v"] = _ratio_str(volt.numerator, volt.denominator)
+        amp, volt, soc, period = s.amplitude, s.voltage, s.soc, s.period
+        values = [
+            texts[amp.numerator, amp.denominator],
+            texts[100 * s.on_width, period],
+            texts[TICKS_PER_SECOND, period],
+            _id_json(s.id),
+            texts[s.phase, TICKS_PER_SECOND],  # seconds_str(phase)
+        ]
         if soc is not None:
-            row["soc_pct"] = _ratio_str(100 * soc.numerator, soc.denominator)
-        rows.append(row)
-    doc: dict = {"loads": rows}
-    if p_max_w is not None:
-        power: dict = {"p_max_w": exact_str(p_max_w)}
-        if power_mode is not None:
-            power["mode"] = power_mode
-        doc["power"] = power
-    return _dump_json(doc)
+            values.append(texts[100 * soc.numerator, soc.denominator])
+        if volt is not None:
+            values.append(texts[volt.numerator, volt.denominator])
+        rows.append(_ROWS[volt is not None, soc is not None] % tuple(values))
+    if p_max_w is None:
+        return _loads_json(rows)
+    power: dict = {"p_max_w": exact_str(p_max_w)}
+    if power_mode is not None:
+        power["mode"] = power_mode
+    return _loads_json(rows, ',\n  "power": ' + _flat(power, 1))
 
 
 def schedule_json(rows: list[dict]) -> str:
-    """Schedule report: per-load id, group, role, phase_s (already ordered)."""
-    return _dump_json({"loads": rows})
+    """Schedule report: per-load id, group, role, phase_s (already ordered).
+
+    A row's group is an int, and its role ("bin" or "item") and phase_s
+    (seconds) are texts that JSON needs no escape for.
+    """
+    return _loads_json(
+        [
+            _SCHEDULE_ROW % (row["group"], _id_json(row["id"]), row["phase_s"], row["role"])
+            for row in rows
+        ]
+    )
 
 
 def plan_json(plan) -> str:
     """Power-plan report: admission split, mode, and applied scale."""
-    return _dump_json(
-        {
-            "admitted": list(plan.admitted),
-            "postponed": list(plan.postponed),
-            "mode": plan.mode,
-            "scale": amount_str(plan.scale),
-            "p_sum_w": amount_str(plan.p_sum_w),
-            "p_max_w": amount_str(plan.p_max_w),
-        }
+    return (
+        f'{{\n  "admitted": {_flat(list(plan.admitted), 1)},\n  "mode": {json.dumps(plan.mode)},\n'
+        f'  "p_max_w": "{amount_str(plan.p_max_w)}",\n  "p_sum_w": "{amount_str(plan.p_sum_w)}",\n'
+        f'  "postponed": {_flat(list(plan.postponed), 1)},\n  "scale": "{amount_str(plan.scale)}"\n}}\n'
     )
 
 

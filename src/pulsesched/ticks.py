@@ -59,6 +59,16 @@ def parse_ratio(text: str) -> tuple[int, int] | None:
     count is out of bounds raises bounded_text's ValueError first, before
     any number is built.
     """
+    if len(text) <= MAX_DIGITS:  # plain "d", "d.d" or "d/d" is read without the pattern:
+        if text.isdecimal():  # isdecimal takes the Unicode Nd digits that its \d takes
+            return int(text), 1
+        head, dot, tail = text.partition(".")
+        if dot and head.isdecimal() and tail.isdecimal():
+            return int(head + tail), 10 ** len(tail)
+        head, slash, tail = text.partition("/")
+        if slash and head.isdecimal() and tail.isdecimal():
+            den = int(tail)
+            return (int(head), den) if den else None
     match = _QUANTITY.match(text)
     # text without an exponent and within MAX_DIGITS characters is in bounds
     if match is None or match["exp"] or len(text) > MAX_DIGITS:

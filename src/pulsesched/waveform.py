@@ -160,6 +160,16 @@ class StepProfile:
         elif bps != (0,):
             raise ValueError("a constant profile is represented by breakpoint 0")
 
+    @classmethod
+    def _checked(cls, hyperperiod: int, breakpoints: tuple, scaled: tuple, denominator: int):
+        """A profile from fields that already pass the checks above, as the sweep
+        derives them: no check runs again."""
+        profile = object.__new__(cls)
+        profile.__dict__.update(
+            hyperperiod=hyperperiod, breakpoints=breakpoints, scaled=scaled, denominator=denominator
+        )
+        return profile
+
     @property
     def levels(self) -> tuple[Fraction, ...]:
         """Segment levels in amperes, built on demand from the scaled integers."""
@@ -239,9 +249,9 @@ def aggregate_profile(specs: list[PulseSpec]) -> StepProfile:
     level = base + sum(amp for s, amp in gated if s.active_at(first))
     if not times:
         # every rise cancels a fall: the gated loads add a constant level too
-        return StepProfile(t_lcm, (0,), (level,), den)
+        return StepProfile._checked(t_lcm, (0,), (level,), den)
     scaled = tuple(accumulate(map(deltas.__getitem__, times[1:]), initial=level))
-    return StepProfile(t_lcm, tuple(times), scaled, den)
+    return StepProfile._checked(t_lcm, tuple(times), scaled, den)
 
 
 def profile_metrics(profile: StepProfile) -> Metrics:

@@ -1,6 +1,7 @@
 """Scenario ingestion, canonical formatting, and report writers."""
 import json
 import os
+import random
 import re
 import stat
 import sys
@@ -8,6 +9,7 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from xml.dom import minidom
 
 import pytest
@@ -21,22 +23,29 @@ from pulsesched import (
     ScenarioError,
     StepProfile,
     aggregate_profile,
+    Metrics,
+    PowerPlan,
     cli,
     enforce_limit,
+    load_sort_key,
     prioritize_and_admit,
     seconds_str,
+    ticks,
 )
 from pulsesched.files import (
     MAX_DIGITS,
     amount_str,
     exact_str,
     load_scenario,
+    metrics_json,
     plan_json,
     scenario_json,
+    schedule_json,
     waveform_csv,
     waveform_svg,
     write_text_atomic,
 )
+from pulsesched.power import MODES
 
 import pulsesched
 
@@ -236,6 +245,9 @@ REFUSALS = {
     "unparseable quantity": (
         scenario_with({"amplitude_a": "1.d"}), "loads[0].amplitude_a: cannot parse '1.d'"
     ),
+    "array quantity": (scenario_with({"amplitude_a": [2]}), "loads[0].amplitude_a: expected a number"),
+    "object duty": (scenario_with({"duty_pct": {"v": 50}}), "loads[0].duty_pct: expected a number"),
+    "null voltage": (scenario_with({"voltage_v": None}), "loads[0].voltage_v: expected a number"),
     "frequency not positive": (scenario_with({"frequency_hz": 0}), "loads[0].frequency_hz: "),
     "phase off the tick grid": (scenario_with({"phase_s": "1/3"}), "loads[0].phase_s: "),
     "negative phase": (scenario_with({"phase_s": -1}), "loads[0].phase_s: must be non-negative"),
@@ -394,6 +406,7 @@ def test_offgrid_phase_names_the_value_as_written(tmp_path, capsys, phase, writt
 
 ref_files = reference_module("files")
 ref_power = reference_module("power")
+ref_cli = reference_module("cli")
 RAW = re.compile(r'"@raw:([^"]*)@"')
 PERIODS = (1, 3, 7, 40, 1000, 2500, 62500, 10**6, 3 * 10**6)  # ticks
 
@@ -485,3 +498,250 @@ def test_reports_match_the_reference_on_well_formed_scenarios(text):
         )
     assert plan_json(plan) == ref_files.plan_json(ref_plan)
 
+
+
+def fleet_text(loads: list[dict], p_max_w: str) -> str:
+    return json.dumps({"loads": loads, "power": {"p_max_w": p_max_w}})
+
+
+class TestFieldCache:
+    """load_scenario checks each field's value once per document, and keeps every refusal."""
+
+    def test_duty_on_the_grid_of_one_period_only_is_refused_at_the_later_load(self, tmp_path):
+        loads = [
+            {"id": 1, "amplitude_a": 1, "frequency_hz": 1, "duty_pct": "0.0001"},  # 1 tick of 1 s
+            {"id": 2, "amplitude_a": 1, "frequency_hz": 1, "duty_pct": "0.0001"},
+            {"id": 3, "amplitude_a": 1, "frequency_hz": 2, "duty_pct": "0.0001"},  # half a tick
+        ]
+        path = write_scenario(tmp_path, json.dumps({"loads": loads}))
+        with pytest.raises(ScenarioError, match=r"loads\[2\]\.duty_pct: 1/10000% of 0\.5 s"):
+            load_scenario(path)
+
+    def test_a_repeated_bad_text_is_named_at_its_first_load(self, tmp_path):
+        loads = [
+            {"id": k, "amplitude_a": "2" if k == 0 else "-1", "frequency_hz": 1, "duty_pct": 50}
+            for k in range(4)
+        ]
+        path = write_scenario(tmp_path, json.dumps({"loads": loads}))
+        with pytest.raises(ScenarioError, match=r"loads\[1\]\.amplitude_a: must be positive"):
+            load_scenario(path)
+
+    def test_a_number_and_its_string_share_one_entry(self, tmp_path, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(pulsesched.files, "parse_ratio", lambda text: parsed.append(text) or (50, 1))
+        text = '{"loads": [%s, %s]}' % (
+            '{"id": "a", "amplitude_a": 50, "frequency_hz": "1", "duty_pct": "1"}',
+            '{"id": "b", "amplitude_a": "50", "frequency_hz": "1", "duty_pct": "1"}',
+        )
+        a, b = load_scenario(write_scenario(tmp_path, text)).loads
+        assert a.amplitude is b.amplitude == 50
+        assert parsed.count("50") == 1
+
+    def test_an_id_beyond_the_digit_bound_is_refused_at_its_load(self, tmp_path):
+        loads = [{"id": k, "amplitude_a": 1, "frequency_hz": 1, "duty_pct": 50} for k in range(3)]
+        loads[2]["id"] = 10**MAX_DIGITS
+        path = write_scenario(tmp_path, json.dumps({"loads": loads}))
+        with pytest.raises(ScenarioError, match=rf"loads\[2\]\.id: .* more than {MAX_DIGITS} digits"):
+            load_scenario(path)
+
+
+# Report renderers against json.dumps(doc, indent=2, sort_keys=True) of the
+# same dict, the way the reports were written before they were templated.
+
+def dumped(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+LOAD_IDS = st.one_of(
+    st.integers(-(10**MAX_DIGITS) + 1, 10**MAX_DIGITS - 1),
+    st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f é€😀/'), st.characters())),
+)
+POSITIVE = st.fractions(min_value=Fraction(1, 10**4), max_value=10**6, max_denominator=10**4)
+
+
+@st.composite
+def report_specs(draw) -> PulseSpec:
+    period = draw(st.sampled_from(PERIODS))
+    return PulseSpec(
+        id=draw(LOAD_IDS),
+        amplitude=draw(POSITIVE),
+        period=period,
+        on_width=draw(st.integers(1, period)),
+        phase=draw(st.integers(0, period - 1)),
+        voltage=draw(st.none() | POSITIVE),
+        soc=draw(st.none() | st.fractions(0, 1, max_denominator=1000)),
+    )
+
+
+def scenario_doc(loads: list[PulseSpec], p_max_w, mode) -> dict:
+    rows = []
+    for s in sorted(loads, key=lambda s: load_sort_key(s.id)):
+        row = {
+            "id": s.id,
+            "amplitude_a": exact_str(s.amplitude),
+            "frequency_hz": exact_str(s.frequency_hz),
+            "duty_pct": exact_str(100 * s.duty),
+            "phase_s": seconds_str(s.phase),
+        }
+        if s.voltage is not None:
+            row["voltage_v"] = exact_str(s.voltage)
+        if s.soc is not None:
+            row["soc_pct"] = exact_str(100 * s.soc)
+        rows.append(row)
+    doc: dict = {"loads": rows}
+    if p_max_w is not None:
+        doc["power"] = {"p_max_w": exact_str(p_max_w)}
+        if mode is not None:
+            doc["power"]["mode"] = mode
+    return doc
+
+
+class TestRenderersAgainstJsonDumps:
+    @seed(20616)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.lists(report_specs(), max_size=5),
+        st.none() | POSITIVE,
+        st.none() | st.sampled_from(MODES) | st.text(),
+    )
+    def test_scenario_json(self, loads, p_max_w, mode):
+        assert scenario_json(loads, p_max_w, mode) == dumped(scenario_doc(loads, p_max_w, mode))
+
+    @seed(20616)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "id": LOAD_IDS,
+                    "group": st.integers(0, 10**6),
+                    "role": st.sampled_from(("bin", "item")),
+                    "phase_s": st.integers(0, 10**9).map(seconds_str),
+                }
+            ),
+            max_size=5,
+        )
+    )
+    def test_schedule_json(self, rows):
+        assert schedule_json(rows) == dumped({"loads": rows})
+
+    @seed(20616)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.lists(LOAD_IDS, max_size=5),
+        st.lists(LOAD_IDS, max_size=5),
+        st.none() | st.sampled_from(MODES) | st.text(),
+        st.tuples(POSITIVE, POSITIVE, POSITIVE),
+    )
+    def test_plan_json(self, admitted, postponed, mode, amounts):
+        scale, p_sum, p_max = amounts
+        plan = PowerPlan(tuple(admitted), tuple(postponed), mode, scale, p_sum, p_max)
+        doc = {
+            "admitted": admitted,
+            "postponed": postponed,
+            "mode": mode,
+            "scale": amount_str(scale),
+            "p_sum_w": amount_str(p_sum),
+            "p_max_w": amount_str(p_max),
+        }
+        assert plan_json(plan) == dumped(doc)
+
+    @seed(20616)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(st.fractions(-(10**6), 10**6, max_denominator=10**4), min_size=4, max_size=4))
+    def test_metrics_json(self, values):
+        metrics = Metrics(*values)
+        doc = {
+            "min_a": amount_str(metrics.min_a),
+            "max_a": amount_str(metrics.max_a),
+            "fluctuation_a": amount_str(metrics.fluctuation_a),
+            "mean_a": amount_str(metrics.mean_a),
+        }
+        assert metrics_json(metrics) == dumped(doc)
+
+
+def depot_fleet(rng: random.Random, n: int) -> tuple[list[dict], Fraction]:
+    """n loads with voltage and SOC, written as the benchmark's depot fleets are, and half
+    their summed mean power as the cap."""
+    loads, total = [], Fraction(0)
+    for i in range(n):
+        freq = rng.choice((1, 2, 4, 5, 10, 20, 50, 100))
+        duty = rng.randint(10, 90)
+        amplitude = Fraction(rng.randint(5, 500), 10)
+        voltage = rng.choice((48, 230, 400, 800))
+        loads.append(
+            {
+                "id": i + 1,
+                "amplitude_a": str(amplitude),
+                "frequency_hz": str(freq),
+                "duty_pct": str(duty),
+                "phase_s": seconds_str(rng.randrange(0, 10**6 // freq, 1000)),
+                "voltage_v": str(voltage),
+                "soc_pct": str(Fraction(rng.randint(0, 1000), 10)),
+            }
+        )
+        total += Fraction(duty, 100) * voltage * amplitude
+    return loads, total / 2
+
+
+def test_a_depot_fleets_plan_reports_equal_the_reference(tmp_path, capsys):
+    loads, cap = depot_fleet(random.Random(20616), 1000)
+    path = write_scenario(tmp_path, fleet_text(loads, str(cap)), name="depot.json")
+    for mode in ([], ["--mode", "amplitude"]):
+        new, ref = tmp_path / "new", tmp_path / "ref"
+        for main, out in ((cli.main, new), (ref_cli.main, ref)):
+            assert main(["plan-power", str(path), *mode, "--out", str(out)]) == 0
+        reports = sorted(p.name for p in ref.iterdir())
+        assert sorted(p.name for p in new.iterdir()) == reports
+        assert ("depot.derated.json" in reports) == bool(mode)
+        for name in reports:
+            assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+        capsys.readouterr()
+
+
+def test_reports_use_the_c_encoder_and_each_text_is_parsed_once(tmp_path, monkeypatch, capsys):
+    """No report falls back to json's pure-Python encoder, which any indent selects, and the
+    quantity pattern runs at most once per distinct text that is not plain "d", "d.d" or "d/d"."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    pattern = ticks._QUANTITY
+    matched = []
+    counting = SimpleNamespace(match=lambda text: matched.append(text) or pattern.match(text))
+    monkeypatch.setattr(ticks, "_QUANTITY", counting)
+    rng = random.Random(20616)
+    spellings = {  # each value in plain and other spellings
+        "amplitude_a": ("12.5", "25/2", "1.25e1", " 12.5 ", "+3", "0.75", "75e-2"),
+        "frequency_hz": ("10", "1e1", "20", "50"),
+        "duty_pct": ("20", "4e1", "40", "60"),
+        "phase_s": ("0", "0.001", "1e-3", "0.002"),
+        "voltage_v": ("48", "2.3e2", "230"),
+        "soc_pct": ("10", "55.5", "5.55e1", "100", "0"),
+    }
+    plans = [["plan-power"], ["plan-power", "--mode", "amplitude"], ["plan-power", "--mode", "duty"]]
+    runs = {"fleet": (300, plans), "small": (10, [["schedule"]])}  # scenario size, runs made on it
+    for stem, (n, argvs) in runs.items():
+        loads = [{key: rng.choice(texts) for key, texts in spellings.items()} for _ in range(n)]
+        total = sum(
+            Fraction(s["duty_pct"]) * Fraction(s["voltage_v"]) * Fraction(s["amplitude_a"]) / 100
+            for s in loads
+        )
+        loads = [{"id": i, **load} for i, load in enumerate(loads)]
+        path = write_scenario(tmp_path, fleet_text(loads, str(total / 2)), name=f"{stem}.json")
+        texts = {text for load in loads for key, text in load.items() if key != "id"}
+        not_plain = sorted(t for t in texts if not re.fullmatch(r"\d+([./]\d+)?", t))
+        for argv in argvs:
+            matched.clear()
+            assert cli.main([*argv, str(path), "--out", str(tmp_path / "out")]) == 0
+            assert sorted(matched) == not_plain
+        capsys.readouterr()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "fleet.derated.json",
+        "fleet.plan.json",
+        "small.metrics_after.json",
+        "small.metrics_before.json",
+        "small.schedule.json",
+        "small.scheduled.json",
+    ]

@@ -175,6 +175,43 @@ def test_parse_ratio_reads_what_fraction_reads(text):
         assert got == expected
 
 
+# digit alphabets of the plain texts: ASCII, Nd digits of other scripts, and
+# characters that isdigit() or int() take but Fraction's \d does not
+PLAIN_ALPHABETS = ("0123456789", "0123456789٠٣٩०५९０９", "19²", "19_")
+
+
+@st.composite
+def plain_texts(draw) -> str:
+    """Text at the edges of parse_ratio's plain path: "d", "d.d" and "d/d" and their near
+    misses (".5", "5.", "5/", signs, spaces), some at or one past MAX_DIGITS characters."""
+    alphabet = draw(st.sampled_from(PLAIN_ALPHABETS))
+    sep = draw(st.sampled_from(("", ".", "/")))
+    tail = draw(st.text(alphabet, max_size=3)) if sep else ""
+    if draw(st.integers(0, 3)) == 0:  # the whole text at, or one past, the length bound
+        size = draw(st.sampled_from((MAX_DIGITS, MAX_DIGITS + 1))) - len(sep) - len(tail)
+    else:
+        size = draw(st.integers(0, 4))
+    head = draw(st.text(alphabet, min_size=size, max_size=size))
+    return draw(st.sampled_from(("", "", "-", "+", " "))) + head + sep + tail
+
+
+@seed(20616)
+@settings(max_examples=400, deadline=None, database=None)
+@given(plain_texts())
+@example("0/0")
+@example("1/0")
+@example(".5")
+@example("5.")
+@example("²")
+@example("1²/2")
+@example("٣.٥")
+@example("1" * MAX_DIGITS)
+@example("1" * (MAX_DIGITS + 1))
+@example("1" * (MAX_DIGITS // 2) + "." + "1" * (MAX_DIGITS // 2))
+def test_plain_texts_read_what_fraction_reads(text):
+    assert now(text) == before(text)
+
+
 @pytest.mark.parametrize(
     "text, value",
     [

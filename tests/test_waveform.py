@@ -186,6 +186,14 @@ class TestStepProfile:
         assert prof.scaled == (7, 3)
         assert prof.levels == (Fraction(7, 12), Fraction(1, 4))
 
+    @seed(20616)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 6))
+    def test_the_sweeps_fields_pass_the_public_checks(self, rng, n):
+        # aggregate_profile builds its profile unchecked; the constructor's checks accept it
+        prof = aggregate_profile(random_mixed_fleet(rng, n))
+        assert StepProfile(prof.hyperperiod, prof.breakpoints, prof.scaled, prof.denominator) == prof
+
     @pytest.mark.parametrize(
         "args",
         [
