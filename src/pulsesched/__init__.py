@@ -17,7 +17,6 @@ from .errors import (
     InvalidAssignmentError,
     MissingSocError,
     MissingVoltageError,
-    MixedFrequencyError,
     NoAdmissibleError,
     NonRepresentableDutyError,
     NonRepresentableTimeError,
@@ -33,9 +32,7 @@ from .multifreq import (
     AssignmentMultiFreq,
     check_groupability,
     realize_phases_multifreq,
-    realize_phases_samefreq,
     solve_multifreq,
-    solve_samefreq,
 )
 from .power import PowerPlan, backfill, enforce_limit, prioritize_and_admit
 from .ticks import MAX_TICK, TICKS_PER_SECOND, seconds_str, ticks_from_seconds
@@ -63,7 +60,6 @@ __all__ = [
     "Metrics",
     "MissingSocError",
     "MissingVoltageError",
-    "MixedFrequencyError",
     "NoAdmissibleError",
     "NonRepresentableDutyError",
     "NonRepresentableTimeError",
@@ -89,13 +85,11 @@ __all__ = [
     "prioritize_and_admit",
     "profile_metrics",
     "realize_phases_multifreq",
-    "realize_phases_samefreq",
     "scale_amplitudes_to_limit",
     "scale_duties_to_limit",
     "schedule_fleet",
     "seconds_str",
     "solve_multifreq",
-    "solve_samefreq",
     "ticks_from_seconds",
     "total_mean_power",
 ]

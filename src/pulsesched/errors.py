@@ -37,10 +37,6 @@ class MissingSocError(PulseSchedError):
     """An operation needs a state of charge the pulse spec does not carry."""
 
 
-class MixedFrequencyError(PulseSchedError):
-    """A same-period entry point of the solver received loads with differing periods."""
-
-
 class NotOverLimitError(PulseSchedError):
     """A de-rating operation was invoked while already at or under the cap."""
 

@@ -3,23 +3,23 @@
 Groups are formed greedily: the highest-frequency unassigned load anchors a
 group and pulls in every unassigned load whose period is an integer multiple
 of the anchor's (equivalently, whose frequency divides the anchor's). Every
-group of two or more loads is solved by the hyperperiod model, through its
-same-period entry points when the group has one period, and its solution
-always realizes; a singleton is its own bin and keeps its phase.
+group of two or more loads is solved by the one hyperperiod solver, whose
+solution always realizes (a one-period group goes through the same solver
+under the names that the benchmark's tracer wraps); a singleton is its own
+bin and keeps its phase.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 from .errors import EmptyInputError
-from .multifreq import (
-    AssignmentMultiFreq,
-    realize_phases_multifreq,
-    realize_phases_samefreq,
-    solve_multifreq,
-    solve_samefreq,
-)
+from .multifreq import AssignmentMultiFreq, realize_phases_multifreq, solve_multifreq
 from .waveform import LoadId, PulseSpec, load_sort_key
+
+# perfbench/spans.py wraps these two names here for its samefreq.* spans;
+# they go, with the one-period fork below, when the benchmark stops wrapping them
+solve_samefreq = solve_multifreq
+realize_phases_samefreq = realize_phases_multifreq
 
 
 @dataclass(frozen=True)

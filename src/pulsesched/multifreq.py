@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from math import gcd
 
-from .errors import EmptyInputError, InvalidAssignmentError, MixedFrequencyError
+from .errors import EmptyInputError, InvalidAssignmentError
 from .waveform import PulseSpec, hyperperiod, load_sort_key
 from .waveform import aggregate_profile  # noqa: F401  bound for perfbench/spans.py's tracer
 
@@ -292,20 +292,3 @@ def realize_phases_multifreq(
         out[j] = replace(specs[j], phase=phase % specs[j].period)
     return out
 
-
-def _one_period(specs: list[PulseSpec]) -> list[PulseSpec]:
-    if len({s.period for s in specs}) > 1:
-        raise MixedFrequencyError("loads must share one period")
-    return specs
-
-
-def solve_samefreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
-    """solve_multifreq for loads that share one period."""
-    return solve_multifreq(_one_period(specs))
-
-
-def realize_phases_samefreq(
-    specs: list[PulseSpec], assignment: AssignmentMultiFreq
-) -> list[PulseSpec]:
-    """realize_phases_multifreq for loads that share one period."""
-    return realize_phases_multifreq(_one_period(specs), assignment)

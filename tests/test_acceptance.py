@@ -32,10 +32,9 @@ from pulsesched import (
     partition_by_frequency,
     prioritize_and_admit,
     profile_metrics,
-    realize_phases_samefreq,
+    realize_phases_multifreq,
     schedule_fleet,
     solve_multifreq,
-    solve_samefreq,
 )
 from pulsesched.adjust import total_mean_power
 from pulsesched.cli import main
@@ -99,7 +98,7 @@ def test_criterion_5_solver_optimality_scenario1():
         start = time.perf_counter()
         loads, baseline = simulate("scenario1_random.json")
 
-        assignment = solve_samefreq(loads)
+        assignment = solve_multifreq(loads)
         assert assignment.bins_used == 6
 
         # independent oracle: every one of the 2^10 bin subsets, each decided
@@ -111,7 +110,7 @@ def test_criterion_5_solver_optimality_scenario1():
                     best = min(best, size)
         assert best == assignment.bins_used == 6
 
-        realized = realize_phases_samefreq(loads, assignment)
+        realized = realize_phases_multifreq(loads, assignment)
         assert_bins_at_unit_level(loads, assignment, realized)
         m = profile_metrics(aggregate_profile(realized))
         assert m.fluctuation_a <= 10
@@ -174,7 +173,7 @@ def test_criterion_7_property_suite():
         rng = random.Random(1005)
         for _ in range(200):
             specs = random_samefreq_fleet(rng, rng.randrange(1, 9))
-            assert solve_samefreq(specs).bins_used == oracle_min_bins_samefreq(specs)
+            assert solve_multifreq(specs).bins_used == oracle_min_bins_samefreq(specs)
 
         # (d) multi-frequency solver matches brute force, 50 trials,
         #     n <= 6, hyperperiod <= 1 s

@@ -12,7 +12,7 @@ from xml.dom import minidom
 import pytest
 
 import pulsesched
-from pulsesched import MixedFrequencyError, cli, files
+from pulsesched import WorkBudgetError, cli, files
 from pulsesched.cli import main
 
 SCENARIOS = Path(pulsesched.__file__).parent / "scenarios"
@@ -182,7 +182,7 @@ class TestSchedule:
 class TestErrorContract:
     def test_unlisted_scheduling_error_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
-            raise MixedFrequencyError("loads must share one period")
+            raise WorkBudgetError("loads must share one period")
 
         monkeypatch.setattr(cli, "schedule_fleet", fail)
         assert run(["schedule", SCENARIOS / "scenario1_random.json", "--out", tmp_path]) == 3

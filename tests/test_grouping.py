@@ -1,8 +1,11 @@
 """Fleet partition by frequency divisibility and end-to-end scheduling."""
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import pulsesched
 import pytest
 from helpers import assert_bins_at_unit_level, random_multifreq_fleet
 
@@ -10,10 +13,14 @@ from pulsesched import (
     EmptyInputError,
     PulseSpec,
     aggregate_profile,
+    grouping,
     partition_by_frequency,
     profile_metrics,
     schedule_fleet,
 )
+from pulsesched.files import load_scenario
+
+SCENARIOS = Path(pulsesched.__file__).parent / "scenarios"
 
 SCENARIO2_FREQS = (8, 4, 5, 5, 1, 2, 4, 2, 8, 1)
 
@@ -189,3 +196,40 @@ class TestScheduleFleet:
                 level = max(aggregate_profile(unit).levels)
                 assignment = g.assignment
                 assert level <= (assignment.bins_used if assignment else 1)
+
+
+class TestSolverNames:
+    """One-period groups go through the `samefreq` names, whose spans perfbench traces."""
+
+    ROUTED = ("solve_samefreq", "realize_phases_samefreq", "solve_multifreq", "realize_phases_multifreq")
+
+    def test_samefreq_names_are_the_one_solver(self):
+        assert grouping.solve_samefreq is grouping.solve_multifreq
+        assert grouping.realize_phases_samefreq is grouping.realize_phases_multifreq
+
+    @pytest.mark.parametrize(
+        "fleet, samefreq_calls, multifreq_calls",
+        [
+            # the 5 Hz pair has one period; the other eight loads nest
+            (load_scenario(SCENARIOS / "scenario2_random.json").loads, 1, 1),
+            (load_scenario(SCENARIOS / "scenario1_random.json").loads, 1, 0),
+            ([spec(1, 2), spec(2, 3)], 0, 0),  # singleton groups are not solved
+        ],
+        ids=["scenario2", "scenario1", "singletons"],
+    )
+    def test_schedule_fleet_routes_one_period_groups_to_the_samefreq_names(
+        self, monkeypatch, fleet, samefreq_calls, multifreq_calls
+    ):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in self.ROUTED:
+            monkeypatch.setattr(grouping, name, counting(name, getattr(grouping, name)))
+        schedule_fleet(list(fleet))
+        assert [calls[name] for name in self.ROUTED] == [samefreq_calls] * 2 + [multifreq_calls] * 2

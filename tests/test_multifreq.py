@@ -28,8 +28,10 @@ from pulsesched import (
     multifreq,
     realize_phases_multifreq,
     solve_multifreq,
-    solve_samefreq,
 )
+
+ref_samefreq = reference_module("samefreq")
+ref_waveform = reference_module("waveform")
 
 
 def spec(id, period, width, phase=0, amp=10):
@@ -160,7 +162,12 @@ class TestSolve:
                 spec(i + 1, 60, rng.randrange(1, 61), phase=rng.randrange(60)) for i in range(n)
             ]
             multi = solve_multifreq(specs)
-            assert multi == solve_samefreq(specs)
+            # the frozen second solver, the one this model replaced
+            frozen = ref_samefreq.solve_samefreq(
+                [ref_waveform.PulseSpec(s.id, s.amplitude, s.period, s.on_width, s.phase) for s in specs]
+            )
+            assert multi.bin_flags == frozen.bin_flags
+            assert {j: p[0] for j, p in enumerate(multi.placement) if p} == frozen.placement
             assert multi.bins_used == oracle_min_bins_samefreq(specs)
             assert all(p is None or p[1] == 1 for p in multi.placement)
             assert all(slots_of(specs, multi, j) == (1,) for j in bins_of(multi))
@@ -586,10 +593,6 @@ def test_any_valid_placement_raises_or_realizes_at_unit_level(drawn):
     except InvalidAssignmentError:
         return
     assert_bins_at_unit_level(specs, a, realized)
-
-
-ref_samefreq = reference_module("samefreq")
-ref_waveform = reference_module("waveform")
 
 
 @st.composite

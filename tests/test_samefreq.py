@@ -14,12 +14,11 @@ from pulsesched import (
     AssignmentMultiFreq,
     EmptyInputError,
     InvalidAssignmentError,
-    MixedFrequencyError,
     PulseSpec,
     aggregate_profile,
     multifreq,
-    realize_phases_samefreq,
-    solve_samefreq,
+    realize_phases_multifreq,
+    solve_multifreq,
 )
 
 SCENARIO1_DUTIES = (50, 50, 80, 30, 60, 40, 50, 60, 50, 90)
@@ -40,53 +39,45 @@ def spec(id, period, width, phase=0, amp=10):
 class TestSolve:
     def test_scenario1_fleet_needs_six_bins(self):
         specs = scenario1_specs()
-        assignment = solve_samefreq(specs)
+        assignment = solve_multifreq(specs)
         assert assignment.bins_used == 6
         assert assignment.bins_used == oracle_min_bins_samefreq(specs)
-        assert_bins_at_unit_level(specs, assignment, realize_phases_samefreq(specs, assignment))
+        assert_bins_at_unit_level(specs, assignment, realize_phases_multifreq(specs, assignment))
 
     def test_two_half_duty_loads_share_one_bin(self):
         specs = [spec(1, 1000, 500), spec(2, 1000, 500)]
-        assignment = solve_samefreq(specs)
+        assignment = solve_multifreq(specs)
         assert assignment.bins_used == 1 == oracle_min_bins_samefreq(specs)
         assert assignment.bin_flags == (0, 1)
         assert assignment.placement == ((1, 1), None)
 
     def test_single_load_is_its_own_bin(self):
-        assignment = solve_samefreq([spec(1, 1000, 400)])
+        assignment = solve_multifreq([spec(1, 1000, 400)])
         assert assignment.bins_used == 1
         assert assignment.bin_flags == (1,)
         assert assignment.placement == (None,)
 
-    def test_mixed_periods_rejected(self):
-        specs = [spec(1, 1000, 400), spec(2, 2000, 400)]
-        with pytest.raises(MixedFrequencyError):
-            solve_samefreq(specs)
-        assignment = AssignmentMultiFreq(placement=(None, (0, 1)))
-        with pytest.raises(MixedFrequencyError):
-            realize_phases_samefreq(specs, assignment)
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            solve_samefreq([])
+            solve_multifreq([])
 
     def test_deterministic_across_runs(self):
         specs = scenario1_specs()
-        assert solve_samefreq(specs) == solve_samefreq(specs)
+        assert solve_multifreq(specs) == solve_multifreq(specs)
 
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(101)
         for _ in range(60):
             specs = random_samefreq_fleet(rng, rng.randrange(1, 8))
-            assignment = solve_samefreq(specs)
+            assignment = solve_multifreq(specs)
             assert assignment.bins_used == oracle_min_bins_samefreq(specs)
-            assert_bins_at_unit_level(specs, assignment, realize_phases_samefreq(specs, assignment))
+            assert_bins_at_unit_level(specs, assignment, realize_phases_multifreq(specs, assignment))
 
     def test_lower_bound_property(self):
         rng = random.Random(103)
         for _ in range(40):
             specs = random_samefreq_fleet(rng, rng.randrange(1, 9))
-            assignment = solve_samefreq(specs)
+            assignment = solve_multifreq(specs)
             total = sum(s.on_width for s in specs)
             assert assignment.bins_used >= -(-total // specs[0].period)
             assert assignment.bins_used >= multifreq._Packer(specs).lower
@@ -98,7 +89,7 @@ class TestSolve:
         for _ in range(30):
             specs = random_samefreq_fleet(rng, rng.randrange(2, 7))
             n = len(specs)
-            a = solve_samefreq(specs)
+            a = solve_multifreq(specs)
 
             # smallest bin-flag vector among all optimal-size feasible subsets
             flag_vectors = []
@@ -123,8 +114,8 @@ class TestSolve:
 class TestRealize:
     def test_complementary_pair_yields_constant(self):
         specs = [spec(1, 1000, 500, phase=0), spec(2, 1000, 500, phase=123)]
-        assignment = solve_samefreq(specs)
-        realized = realize_phases_samefreq(specs, assignment)
+        assignment = solve_multifreq(specs)
+        realized = realize_phases_multifreq(specs, assignment)
         prof = aggregate_profile(realized)
         assert prof.levels == (Fraction(10),)
 
@@ -136,19 +127,19 @@ class TestRealize:
             spec("w2", 1000000, 200000),
         ]
         assignment = AssignmentMultiFreq(placement=(None, (0, 1), (0, 1)))
-        realized = realize_phases_samefreq(specs, assignment)
+        realized = realize_phases_multifreq(specs, assignment)
         assert realized[1].phase == 300000
         assert realized[2].phase == 600000
 
     def test_empty_item_set_keeps_phases(self):
         specs = [spec(1, 1000, 400, phase=77)]
-        realized = realize_phases_samefreq(specs, solve_samefreq(specs))
+        realized = realize_phases_multifreq(specs, solve_multifreq(specs))
         assert realized == specs
 
     def test_bins_keep_input_phases(self):
         specs = scenario1_specs()
-        assignment = solve_samefreq(specs)
-        realized = realize_phases_samefreq(specs, assignment)
+        assignment = solve_multifreq(specs)
+        realized = realize_phases_multifreq(specs, assignment)
         for pos, flag in enumerate(assignment.bin_flags):
             if flag:
                 assert realized[pos] == specs[pos]
@@ -157,14 +148,14 @@ class TestRealize:
         specs = [spec(1, 1000, 600), spec(2, 1000, 500)]
         bad = AssignmentMultiFreq(placement=(None, (0, 1)))
         with pytest.raises(InvalidAssignmentError):
-            realize_phases_samefreq(specs, bad)
+            realize_phases_multifreq(specs, bad)
 
     def test_group_members_never_overlap(self):
         rng = random.Random(107)
         for _ in range(30):
             specs = random_samefreq_fleet(rng, rng.randrange(2, 7))
-            assignment = solve_samefreq(specs)
-            realized = realize_phases_samefreq(specs, assignment)
+            assignment = solve_multifreq(specs)
+            realized = realize_phases_multifreq(specs, assignment)
             assert_bins_at_unit_level(specs, assignment, realized)
 
 
@@ -175,18 +166,18 @@ class TestVerify:
         rng = random.Random(109)
         for _ in range(20):
             specs = random_samefreq_fleet(rng, rng.randrange(1, 7))
-            assignment = solve_samefreq(specs)
-            assert_bins_at_unit_level(specs, assignment, realize_phases_samefreq(specs, assignment))
+            assignment = solve_multifreq(specs)
+            assert_bins_at_unit_level(specs, assignment, realize_phases_multifreq(specs, assignment))
 
     def test_item_wider_than_bin_off_interval(self):
         specs = [spec(1, 1000, 600), spec(2, 1000, 500)]
         bad = AssignmentMultiFreq(placement=(None, (0, 1)))
         # bin 0's single slot holds item 1, which finds no offset there
         with pytest.raises(InvalidAssignmentError, match="no free offset"):
-            realize_phases_samefreq(specs, bad)
+            realize_phases_multifreq(specs, bad)
 
     def test_item_hosted_by_non_bin_flagged(self):
         specs = [spec(1, 1000, 500), spec(2, 1000, 400), spec(3, 1000, 300)]
         bad = AssignmentMultiFreq(placement=(None, (2, 1), (0, 1)))
         with pytest.raises(InvalidAssignmentError, match="not a bin"):
-            realize_phases_samefreq(specs, bad)
+            realize_phases_multifreq(specs, bad)
