@@ -5,6 +5,9 @@ prints, in that order. `main` does all of that I/O. A `cmd_*` only computes:
 it returns its stdout lines, its reports ({file suffix: text}, in write order)
 and the profile its waveform files show (None: it has none). So a failed run
 prints nothing on stdout, and one that fails to read or compute leaves no `--out`.
+A run whose report write or waveform build fails removes the reports it wrote
+before that, so it leaves none of its own reports (a report it had replaced
+is gone as well) and no other file in `--out` is touched.
 
 Exit codes: 0 success, 2 scenario validation failure (a quantity's decimal
 exponent beyond ±files.MAX_EXPONENT, a mantissa or "p/q" side of more than
@@ -20,6 +23,7 @@ or writing a report, whose line names the path. Each failure prints one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -151,34 +155,44 @@ _PARSER = _build_parser()  # parse_args keeps no state between calls
 
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    written: list[Path] = []  # this run's reports, removed again if a later step fails
     try:
         scenario = load_scenario(args.scenario)
         lines, reports, profile = args.func(args, scenario)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         stem = Path(args.scenario).stem
+
+        def write(suffix: str, text: str) -> None:
+            path = out / f"{stem}.{suffix}"
+            write_text_atomic(path, text)
+            written.append(path)
+
         for suffix, text in reports.items():
-            write_text_atomic(out / f"{stem}.{suffix}", text)
+            write(suffix, text)
         # each waveform text is built after the reports and written before the
         # next is built, so at most one is held at a time
         if profile is not None and (args.csv or scenario.emit_csv):
-            write_text_atomic(out / f"{stem}.waveform.csv", files.waveform_csv(profile))
+            write("waveform.csv", files.waveform_csv(profile))
         if profile is not None and (args.svg or scenario.emit_svg):
             # the locale may have decoded the file name's bytes to lone surrogates,
             # which UTF-8 cannot encode; the title reads those bytes as UTF-8
             title = os.fsencode(stem).decode("utf-8", "replace")
-            write_text_atomic(out / f"{stem}.waveform.svg", files.waveform_svg(profile, title))
+            write("waveform.svg", files.waveform_svg(profile, title))
         print("\n".join(lines))
         return 0
     except (PulseSchedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        codes = (code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
-        return next(codes, EXIT_INFEASIBLE)
+        message = str(exc)
+        code = next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), EXIT_INFEASIBLE)
     except OSError as exc:
         # creating --out or writing a report: load_scenario maps its own read errors
-        path = exc.filename or args.out
-        print(f"error: cannot write {str(path)!r}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        message = f"cannot write {str(exc.filename or args.out)!r}: {exc.strerror or exc}"
+        code = EXIT_INFEASIBLE
+    for path in written:
+        with contextlib.suppress(OSError):
+            path.unlink()
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

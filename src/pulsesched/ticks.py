@@ -7,7 +7,6 @@ never rounded.
 """
 from __future__ import annotations
 
-import fractions
 import re
 from bisect import bisect_left, bisect_right
 from decimal import Decimal
@@ -31,11 +30,6 @@ MAX_EXPONENT = 1000
 MAX_DIGITS = 1000
 _EXPONENT = re.compile(r"e[-+]?0*(\d+)", re.IGNORECASE)
 
-# Fraction's own pattern, so parse_ratio accepts exactly the text Fraction(text)
-# accepts on every Python version: underscores came in 3.11, spaces around "/"
-# in 3.12.
-_QUANTITY = fractions._RATIONAL_FORMAT
-
 
 def bounded_text(text: str) -> str:
     """`text` itself, unless its decimal exponent or digit count is out of bounds (ValueError)."""
@@ -51,16 +45,17 @@ def bounded_text(text: str) -> str:
 
 
 def parse_ratio(text: str) -> tuple[int, int] | None:
-    """The exact value of quantity text as integers (num, den), den > 0, not reduced.
+    """The exact value of quantity text as integers (num, den), den > 0.
 
-    Reads what Fraction(text) reads: a sign, "_" between digits, surrounding
-    whitespace, decimals, exponents and "p/q". Returns None for any other
-    text and for a zero denominator. Text whose decimal exponent or digit
-    count is out of bounds raises bounded_text's ValueError first, before
-    any number is built.
+    Plain "d", "d.d" and "d/d" are read directly, not reduced. Other text is
+    read by Fraction(text) itself, as the running Python reads it (a sign, "_"
+    between digits, whitespace, decimals, exponents, "p/q"), and comes back
+    reduced. Returns None for text Fraction refuses and for a zero
+    denominator. Text whose decimal exponent or digit count is out of bounds
+    raises bounded_text's ValueError first, before any number is built.
     """
-    if len(text) <= MAX_DIGITS:  # plain "d", "d.d" or "d/d" is read without the pattern:
-        if text.isdecimal():  # isdecimal takes the Unicode Nd digits that its \d takes
+    if len(text) <= MAX_DIGITS:  # plain "d", "d.d" or "d/d" is read without Fraction:
+        if text.isdecimal():  # isdecimal takes the Unicode Nd digits that Fraction's \d takes
             return int(text), 1
         head, dot, tail = text.partition(".")
         if dot and head.isdecimal() and tail.isdecimal():
@@ -69,35 +64,12 @@ def parse_ratio(text: str) -> tuple[int, int] | None:
         if slash and head.isdecimal() and tail.isdecimal():
             den = int(tail)
             return (int(head), den) if den else None
-    match = _QUANTITY.match(text)
-    # text without an exponent and within MAX_DIGITS characters is in bounds
-    if match is None or match["exp"] or len(text) > MAX_DIGITS:
-        bounded_text(text)
-        if match is None:
-            return None
-    sign, num, den, decimal, exp = match.group("sign", "num", "denom", "decimal", "exp")
+    bounded_text(text)
     try:
-        num = int(num or "0")
-        if den:
-            den = int(den)
-            if den == 0:
-                return None
-        else:
-            den = 1
-            if decimal:
-                decimal = decimal.replace("_", "")
-                den = 10 ** len(decimal)
-                num = num * den + int(decimal)
-            if exp:
-                exp = int(exp)
-                if exp >= 0:
-                    num *= 10**exp
-                else:
-                    den *= 10**-exp
-    except ValueError:
-        # 3.11's pattern lets a run of "d" through as the fractional part
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
         return None
-    return (-num if sign == "-" else num), den
+    return value.numerator, value.denominator
 
 
 def as_fraction(value) -> Fraction:

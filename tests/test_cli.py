@@ -208,17 +208,30 @@ class TestErrorContract:
         assert captured.err.startswith(f"error: cannot write {str(out)!r}: ")
         assert captured.err.count("\n") == 1
 
-    def test_report_that_cannot_be_written_exits_3_printing_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [
+            (["simulate"], "metrics.json"),
+            (["schedule"], "metrics_after.json"),  # after three reports
+            (["simulate", "--csv", "--svg"], "waveform.svg"),  # after the metrics and the CSV
+        ],
+        ids=["first", "last", "svg"],
+    )
+    def test_report_that_cannot_be_written_exits_3_printing_nothing(self, tmp_path, capsys, argv, blocked):
+        """A directory in a report's place fails the run, which removes the reports it wrote."""
         out = tmp_path / "out"
-        (out / "scenario1_random.metrics.json").mkdir(parents=True)
-        assert run(["simulate", SCENARIOS / "scenario1_random.json", "--out", out]) == 3
+        report = out / f"scenario1_random.{blocked}"
+        report.mkdir(parents=True)
+        (out / "unrelated.txt").write_text("kept")
+        assert run([*argv, SCENARIOS / "scenario1_random.json", "--out", out]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         # the report, not the temp file, which is gone
-        assert captured.err.startswith(f"error: cannot write '{out / 'scenario1_random.metrics.json'}': ")
+        assert captured.err.startswith(f"error: cannot write '{report}': ")
         assert ".tmp" not in captured.err
         assert captured.err.count("\n") == 1
-        assert [p.name for p in out.iterdir()] == ["scenario1_random.metrics.json"]
+        assert sorted(p.name for p in out.iterdir()) == sorted([report.name, "unrelated.txt"])
+        assert (out / "unrelated.txt").read_text() == "kept"
 
     @pytest.mark.parametrize("raw", ['"1e5000"', "1e5000", '"1e999999999"', "1e999999999"])
     def test_oversized_exponent_exits_2(self, tmp_path, capsys, raw):

@@ -9,7 +9,6 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 from xml.dom import minidom
 
 import pytest
@@ -701,16 +700,15 @@ def test_a_depot_fleets_plan_reports_equal_the_reference(tmp_path, capsys):
 
 def test_reports_use_the_c_encoder_and_each_text_is_parsed_once(tmp_path, monkeypatch, capsys):
     """No report falls back to json's pure-Python encoder, which any indent selects, and the
-    quantity pattern runs at most once per distinct text that is not plain "d", "d.d" or "d/d"."""
+    fallback read (bounded_text, then Fraction) runs once per distinct text that is not plain
+    "d", "d.d" or "d/d"."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("json's pure-Python encoder was called")
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
-    pattern = ticks._QUANTITY
-    matched = []
-    counting = SimpleNamespace(match=lambda text: matched.append(text) or pattern.match(text))
-    monkeypatch.setattr(ticks, "_QUANTITY", counting)
+    bounded, fallback = ticks.bounded_text, []
+    monkeypatch.setattr(ticks, "bounded_text", lambda text: fallback.append(text) or bounded(text))
     rng = random.Random(20616)
     spellings = {  # each value in plain and other spellings
         "amplitude_a": ("12.5", "25/2", "1.25e1", " 12.5 ", "+3", "0.75", "75e-2"),
@@ -733,9 +731,9 @@ def test_reports_use_the_c_encoder_and_each_text_is_parsed_once(tmp_path, monkey
         texts = {text for load in loads for key, text in load.items() if key != "id"}
         not_plain = sorted(t for t in texts if not re.fullmatch(r"\d+([./]\d+)?", t))
         for argv in argvs:
-            matched.clear()
+            fallback.clear()
             assert cli.main([*argv, str(path), "--out", str(tmp_path / "out")]) == 0
-            assert sorted(matched) == not_plain
+            assert sorted(fallback) == not_plain
         capsys.readouterr()
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "fleet.derated.json",
