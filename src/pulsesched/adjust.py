@@ -90,7 +90,7 @@ def scale_amplitudes_to_limit(specs: list[PulseSpec], p_max, p_sum) -> list[Puls
         if new is None:
             new = scaled[key] = amp * ratio
         # a positive ratio keeps every amplitude positive: the specs stay valid
-        out.append(PulseSpec._checked({**vars(s), "amplitude": new}))
+        out.append(PulseSpec._checked(s.id, new, s.period, s.on_width, s.phase, s.voltage, s.soc))
     return out
 
 

@@ -5,9 +5,10 @@ prints, in that order. `main` does all of that I/O. A `cmd_*` only computes:
 it returns its stdout lines, its reports ({file suffix: text}, in write order)
 and the profile its waveform files show (None: it has none). So a failed run
 prints nothing on stdout, and one that fails to read or compute leaves no `--out`.
-A run whose report write or waveform build fails removes the reports it wrote
-before that, so it leaves none of its own reports (a report it had replaced
-is gone as well) and no other file in `--out` is touched.
+A run whose report write or waveform build fails, or that cannot print its
+lines, removes the reports it wrote before that, so it leaves none of its own
+reports (a report it had replaced is gone as well) and no other file in
+`--out` is touched.
 
 Exit codes: 0 success, 2 scenario validation failure (a quantity's decimal
 exponent beyond ±files.MAX_EXPONENT, a mantissa or "p/q" side of more than
@@ -15,10 +16,11 @@ files.MAX_DIGITS digits, and JSON nested too deeply to parse included), 4
 missing soc/voltage fields in plan-power, 3 any other scheduling error or
 ValueError: an infeasible power plan, a duty de-rating whose scaled
 on-widths fall off the tick grid, a hyperperiod beyond the tick range, a
-waveform sweep above its edge budget, and an OSError while creating `--out`
-or writing a report, whose line names the path. Each failure prints one
-`error:` line to stderr. `schedule` schedules every group, so its
-`--allow-partial` is accepted and ignored.
+waveform sweep above its edge budget, an admission whose common denominator
+passes power.MAX_DENOMINATOR_BITS, and an OSError while creating `--out`,
+writing a report or printing, whose line names the path or `stdout`. Each
+failure prints one `error:` line to stderr. `schedule` schedules every
+group, so its `--allow-partial` is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -153,9 +155,19 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()  # parse_args keeps no state between calls
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device: what its buffer still holds cannot
+    be written, and would fail again, with a traceback, when Python flushes it at exit."""
+    with contextlib.suppress(OSError, ValueError):  # ValueError: stdout has no descriptor
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     written: list[Path] = []  # this run's reports, removed again if a later step fails
+    printing = False  # an OSError from here on is stdout's, not a report's
     try:
         scenario = load_scenario(args.scenario)
         lines, reports, profile = args.func(args, scenario)
@@ -179,15 +191,19 @@ def main(argv=None) -> int:
             # which UTF-8 cannot encode; the title reads those bytes as UTF-8
             title = os.fsencode(stem).decode("utf-8", "replace")
             write("waveform.svg", files.waveform_svg(profile, title))
-        print("\n".join(lines))
+        printing = True
+        print("\n".join(lines), flush=True)
         return 0
     except (PulseSchedError, ValueError) as exc:
         message = str(exc)
         code = next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), EXIT_INFEASIBLE)
     except OSError as exc:
-        # creating --out or writing a report: load_scenario maps its own read errors
-        message = f"cannot write {str(exc.filename or args.out)!r}: {exc.strerror or exc}"
+        # creating --out, writing a report or printing: load_scenario maps its own read errors
+        target = "stdout" if printing else repr(str(exc.filename or args.out))
+        message = f"cannot write {target}: {exc.strerror or exc}"
         code = EXIT_INFEASIBLE
+        if printing:
+            _discard_stdout()
     for path in written:
         with contextlib.suppress(OSError):
             path.unlink()

@@ -5,9 +5,9 @@ number stays text until its field is read, so one integer parser,
 `ticks.parse_ratio`, reads both exactly as a numerator and denominator, and a
 refusal names the file and field either way. It reads what Fraction reads,
 "p/q" included, and refuses an out-of-bound exponent or digit count before it
-builds a number. Each field's checked value is kept by its text (duty and
-phase by text and period), so a fleet that repeats a value parses and checks
-it once, and only a refusal builds the message naming its load.
+builds a number. Each load field is read as one column over the whole loads
+array and checked once per distinct text (duty and phase: text and period),
+and a refusal names the earliest faulty load and its first faulty field.
 
 Emitted files render every quantity as a canonical decimal string - seconds
 with up to six fractional digits, amounts rounded half-even to three -
@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, pairwise, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import ScenarioError
@@ -103,8 +104,8 @@ def _ratio(raw, ratios: dict[str, tuple[int, int]]) -> tuple[int, int]:
     raise ScenarioError(f"expected a number or numeric string, got {type(raw).__name__}")
 
 
-# The checks of the load fields, each from the field's raw value (and the
-# load's period) to the value a PulseSpec holds.
+# The checks of the load fields, each from the field's raw value (duty and
+# phase: with the load's period) to the value a PulseSpec holds.
 
 
 def _positive(raw, ratios) -> Fraction:
@@ -124,7 +125,8 @@ def _period(raw, ratios) -> int:
     return period
 
 
-def _on_width(raw, ratios, period: int) -> int:
+def _on_width(key: tuple, ratios) -> int:
+    raw, period = key
     num, den = _ratio(raw, ratios)
     if not 0 < num <= 100 * den:
         raise ScenarioError("must lie in (0, 100]")
@@ -136,7 +138,8 @@ def _on_width(raw, ratios, period: int) -> int:
     return on_width
 
 
-def _phase(raw, ratios, period: int) -> int:
+def _phase(key: tuple, ratios) -> int:
+    raw, period = key
     num, den = _ratio(raw, ratios)
     phase, rest = divmod(num * TICKS_PER_SECOND, den)
     if rest:  # named as written, whitespace collapsed so the message stays on one line
@@ -155,15 +158,27 @@ def _soc(raw, ratios) -> Fraction:
 
 _LOAD_KEYS = {"id", "amplitude_a", "frequency_hz", "duty_pct", "phase_s", "voltage_v", "soc_pct"}
 _REQUIRED = ("id", "amplitude_a", "frequency_hz", "duty_pct")
+_ABSENT = ()  # an optional field's entry for a load that leaves it out: no JSON value is a tuple
+
+
+def _shape(entry) -> str:
+    """A load's refusal for its shape, after "loads[k]", or "" if it has none."""
+    if not isinstance(entry, dict):
+        return ": must be an object"
+    if not entry.keys() <= _LOAD_KEYS:
+        return f": unknown keys {sorted(set(entry) - _LOAD_KEYS)}"
+    return next((f".{key}: missing" for key in _REQUIRED if key not in entry), "")
 
 
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate one scenario file; errors are anchored to file and field.
 
-    Each field's checked value is kept by its text (duty and phase by text and
-    period), so a fleet that repeats a value checks it once. Checks run on the
-    integers of each quantity's (num, den), and only the first load with a
-    value pays for its check, its Fractions and, on a refusal, its message.
+    Each load field is read as a column over the loads before the first misshapen
+    one, in C-level passes, and checked on the integers of its (num, den) once per
+    distinct text (duty and phase: text and period), in order of first occurrence.
+    So a column's first refusal is at its first refusing load. The run refuses the
+    earliest such load at its first field in the order id, amplitude, frequency,
+    duty, phase, voltage, soc, else the misshapen load: a load-by-load read's refusal.
     """
     path = Path(path)
     try:
@@ -193,72 +208,72 @@ def load_scenario(path: str | Path) -> Scenario:
     if not isinstance(raw_loads, list) or not raw_loads:
         raise ScenarioError(f"{path}: loads: must be a non-empty array")
 
+    b, shape = len(raw_loads), ""  # the first misshapen load, and its refusal after "loads[b]"
+    if not (
+        all(map(isinstance, raw_loads, repeat(dict)))
+        and _LOAD_KEYS.issuperset(chain.from_iterable(raw_loads))
+        and all(all(map(dict.__contains__, raw_loads, repeat(key))) for key in _REQUIRED)
+    ):
+        b, shape = next((k, s) for k, s in enumerate(map(_shape, raw_loads)) if s)
+    good = raw_loads[:b]
     ratios: dict[str, tuple[int, int]] = {}  # a fleet repeats its quantities' texts
-    checked: dict[tuple, object] = {}  # (check, text[, period]) -> the value it passed
+    refusals: list = []  # each field's first (load, field, refusal), in the order fields are read
 
-    def read(check, key: str, raw, *period):
-        """check's value for the load's `raw` (and period), checked once per document."""
-        memo = (check, raw, *period)
+    def column(field: str, check, *periods: list, absent=_ABSENT) -> list:
+        """check's value of `field` for each load before b, up to the field's first refusal."""
+        col = list(map(dict.get, good, repeat(field), repeat(absent)))
+        if not all(map(isinstance, col, repeat((str, tuple)))):  # no unhashable value is a key
+            end = next(k for k, raw in enumerate(col) if not isinstance(raw, (str, tuple)))
+            try:
+                _ratio(col[end], ratios)  # refuses every value that is not text
+            except ScenarioError as exc:
+                refusals.append((end, field, exc))
+            del col[end:]
+        keys = list(zip(col, *periods)) if periods else col  # a refused period ends the column
+        values = dict.fromkeys(keys)
+        for key in values:
+            try:
+                values[key] = None if key is _ABSENT else check(key, ratios)
+            except ScenarioError as exc:
+                end = keys.index(key)  # the key's first load
+                refusals.append((end, field, exc))
+                del keys[end:]
+                break
+        return list(map(values.__getitem__, keys))
+
+    raw_ids = list(map(itemgetter("id"), good))
+    ids = []  # plain integer tokens at once, as parse_ratio reads them; other ids one by one
+    if all(map(isinstance, raw_ids, repeat(_Number))) and all(map(str.isdecimal, raw_ids)):
+        ids = list(map(int, raw_ids)) if max(map(len, raw_ids), default=0) <= MAX_DIGITS else ids
+    for raw in raw_ids[len(ids) :]:
         try:
-            return checked[memo]
-        except (KeyError, TypeError):  # not seen yet, or unhashable: an array or object
-            pass
-        try:
-            value = check(raw, ratios, *period)
-        except ScenarioError as exc:
-            raise ScenarioError(f"{path}: loads[{k}].{key}: {exc}") from exc
-        checked[memo] = value
-        return value
-
-    loads: list[PulseSpec] = []
-    explicit: list[bool] = []
-    seen_ids: set = set()
-    for k, entry in enumerate(raw_loads):
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{path}: loads[{k}]: must be an object")
-        if not entry.keys() <= _LOAD_KEYS:
-            raise ScenarioError(f"{path}: loads[{k}]: unknown keys {sorted(set(entry) - _LOAD_KEYS)}")
-        for key in _REQUIRED:
-            if key not in entry:
-                raise ScenarioError(f"{path}: loads[{k}].{key}: missing")
-        load_id = entry["id"]
-        if isinstance(load_id, _Number) and load_id.lstrip("-").isdigit():  # an integer token
-            try:  # each id is its own text: parsed once, with no memo
-                load_id = parse_ratio(load_id)[0]
-            except ValueError as exc:
-                raise ScenarioError(f"{path}: loads[{k}].id: {exc}") from exc
-        if type(load_id) not in (int, str):  # a float token, a boolean, ...
-            raise ScenarioError(f"{path}: loads[{k}].id: must be an integer or string")
-        if load_id in seen_ids:
-            raise ScenarioError(f"{path}: loads[{k}].id: duplicate id {load_id!r}")
-        seen_ids.add(load_id)
-
-        amplitude = read(_positive, "amplitude_a", entry["amplitude_a"])
-        period = read(_period, "frequency_hz", entry["frequency_hz"])
-        on_width = read(_on_width, "duty_pct", entry["duty_pct"], period)
-        has_phase = "phase_s" in entry
-        phase = read(_phase, "phase_s", entry["phase_s"], period) if has_phase else 0
-        voltage = soc = None
-        if "voltage_v" in entry:
-            voltage = read(_positive, "voltage_v", entry["voltage_v"])
-        if "soc_pct" in entry:
-            soc = read(_soc, "soc_pct", entry["soc_pct"])
-        loads.append(
-            PulseSpec._checked(
-                {
-                    "id": load_id,
-                    "amplitude": amplitude,
-                    "period": period,
-                    "on_width": on_width,
-                    "phase": phase,
-                    "voltage": voltage,
-                    "soc": soc,
-                }
-            )
-        )
-        explicit.append(has_phase)
-
-    scenario = Scenario(loads=loads, explicit_phase=explicit)
+            if isinstance(raw, _Number) and raw.lstrip("-").isdigit():  # an integer token
+                raw = parse_ratio(raw)[0]  # each id is its own text: parsed with no memo
+            elif type(raw) is not str:  # a float token, a boolean, ...
+                raise ValueError("must be an integer or string")
+        except ValueError as exc:
+            refusals.append((len(ids), "id", exc))
+            break
+        ids.append(raw)
+    first = dict(zip(reversed(ids), reversed(range(len(ids)))))  # each id's first load
+    if len(first) < len(ids):
+        k = next(k for k, load_id in enumerate(ids) if first[load_id] != k)
+        refusals.append((k, "id", f"duplicate id {ids[k]!r}"))
+    amplitudes = column("amplitude_a", _positive)
+    periods = column("frequency_hz", _period)
+    on_widths = column("duty_pct", _on_width, periods)
+    phases = column("phase_s", _phase, periods, absent="0")  # a load without a phase starts at 0
+    voltages = column("voltage_v", _positive)
+    socs = column("soc_pct", _soc)
+    if refusals:  # the earliest load's, and at that load the field read first
+        k, field, exc = min(refusals, key=itemgetter(0))
+        raise ScenarioError(f"{path}: loads[{k}].{field}: {exc}")
+    if shape:
+        raise ScenarioError(f"{path}: loads[{b}]{shape}")
+    scenario = Scenario(
+        loads=list(map(PulseSpec._checked, ids, amplitudes, periods, on_widths, phases, voltages, socs)),
+        explicit_phase=list(map(dict.__contains__, good, repeat("phase_s"))),
+    )
     power = doc.get("power")
     if power is not None:
         where = f"{path}: power"

@@ -208,6 +208,35 @@ class TestErrorContract:
         assert captured.err.startswith(f"error: cannot write {str(out)!r}: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_3_naming_stdout(self, tmp_path, buffered):
+        """stdout is a pipe whose reader has closed: the run names stdout, removes its report,
+        and Python's flush of stdout at exit prints no second error."""
+        package_root = str(Path(pulsesched.__file__).parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+        }
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        out = tmp_path / "out"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pulsesched.cli", "simulate",
+                 str(SCENARIOS / "scenario1_random.json"), "--out", str(out)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr.decode() == "error: cannot write stdout: Broken pipe\n"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv, blocked",
         [
@@ -377,6 +406,31 @@ class TestPlanPower:
             '"voltage_v": 400, "soc_pct": 20}], "power": {"p_max_w": 10}}'
         )
         assert run(["plan-power", sc, "--out", tmp_path]) == 3
+
+    def test_socs_past_the_denominator_budget_exit_3(self, tmp_path, capsys):
+        # eleven coprime SOC denominators of at most 1000 digits each, every one within the
+        # scenario's digit bound, whose lcm has more than 10 * 1000 digits
+        dens = []
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            e = 1
+            while p ** (e + 1) < 10**999:
+                e += 1
+            dens.append(p**e)
+        loads = [
+            {"id": k, "amplitude_a": 2, "frequency_hz": 1, "duty_pct": 50, "voltage_v": 400,
+             "soc_pct": f"1/{d}"}
+            for k, d in enumerate(dens)
+        ]
+        sc = tmp_path / "socs.json"
+        sc.write_text(json.dumps({"loads": loads, "power": {"p_max_w": 1000}}))
+        out = tmp_path / "out"
+        assert run(["plan-power", sc, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: a common denominator of the loads' SOCs passes {pulsesched.power.MAX_DENOMINATOR_BITS} bits\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_soc_exits_4(self, tmp_path):
         sc = tmp_path / "nosoc.json"

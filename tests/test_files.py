@@ -1,4 +1,7 @@
 """Scenario ingestion, canonical formatting, and report writers."""
+import contextlib
+import io
+import itertools
 import json
 import os
 import random
@@ -542,6 +545,101 @@ class TestFieldCache:
         path = write_scenario(tmp_path, json.dumps({"loads": loads}))
         with pytest.raises(ScenarioError, match=rf"loads\[2\]\.id: .* more than {MAX_DIGITS} digits"):
             load_scenario(path)
+
+
+# One fault per load, each refused whatever the load's period is: the fault's
+# change to the load (None: the load is not an object), and the message tail
+# after "loads[k]"; "{id!r}" stands for the id the fault copies.
+FAULTS = {
+    "not an object": (None, ": must be an object"),
+    "unknown key": ({"oops": 1}, ": unknown keys ['oops']"),
+    "missing key": ("missing", ".{key}: missing"),
+    "float id": ({"id": 1.5}, ".id: must be an integer or string"),
+    "duplicate id": ("duplicate", ".id: duplicate id {id!r}"),
+    "amplitude": ({"amplitude_a": "-1"}, ".amplitude_a: must be positive"),
+    "frequency": ({"frequency_hz": 0}, ".frequency_hz: must be positive"),
+    "duty": ({"duty_pct": 150}, ".duty_pct: must lie in (0, 100]"),
+    "phase": ({"phase_s": -1}, ".phase_s: must be non-negative"),
+    "voltage": ({"voltage_v": 0}, ".voltage_v: must be positive"),
+    "soc": ({"soc_pct": 101}, ".soc_pct: must lie in [0, 100]"),
+}
+
+
+@st.composite
+def faulty_fleets(draw) -> tuple[list, str]:
+    """A fleet of 2-8 loads with one fault in each of 1-3 of them, and the message of the
+    earliest fault: the first faulty load's, since each load has at most one."""
+    n = draw(st.integers(2, 8))
+    id_style = draw(st.sampled_from(("int", "str", "mixed")))
+    loads = []
+    for k in range(n):
+        style = draw(st.sampled_from(("int", "str"))) if id_style == "mixed" else id_style
+        load = {
+            "id": k if style == "int" else f"L{k}",
+            "amplitude_a": draw(st.sampled_from((2, "2", "1/3", 0.5))),
+            "frequency_hz": draw(st.sampled_from((1, "2", 5, "10", 50))),
+            "duty_pct": draw(st.sampled_from((10, "25", 50, "90", 100))),
+        }
+        for key, values in (
+            ("phase_s", (0, "0.001", 0.25)),
+            ("voltage_v", (48, "400")),
+            ("soc_pct", (0, "50", 100, 12.5)),
+        ):
+            if draw(st.booleans()):
+                load[key] = draw(st.sampled_from(values))
+        loads.append(load)
+    faulty = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=3)))
+    messages = []
+    for k in faulty:
+        kinds = [kind for kind in FAULTS if kind != "duplicate id" or k > 0]
+        change, tail = FAULTS[draw(st.sampled_from(kinds))]
+        if change is None:
+            loads[k] = 1
+        elif change == "missing":
+            key = draw(st.sampled_from(("id", "amplitude_a", "frequency_hz", "duty_pct")))
+            del loads[k][key]
+            tail = tail.format(key=key)
+        elif change == "duplicate":
+            copied = loads[draw(st.integers(0, k - 1))]
+            load_id = copied["id"] if isinstance(copied, dict) and "id" in copied else 0
+            loads[k]["id"] = load_id
+            tail = tail.format(id=load_id)
+        else:
+            loads[k].update(change)
+        messages.append(f"loads[{k}]{tail}")
+    return loads, messages[0]
+
+
+@seed(20623)
+@settings(max_examples=300, deadline=None, database=None)
+@given(faulty_fleets())
+def test_the_earliest_fault_by_load_and_field_is_the_one_refused(fleet):
+    loads, message = fleet
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp), json.dumps({"loads": loads}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["simulate", str(path), "--out", str(Path(tmp) / "out")]) == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"error: {path}: {message}\n"
+
+
+# two field faults at one load, the first in the order the fields are read
+FIELD_PAIRS = list(
+    itertools.combinations(["float id", "amplitude", "frequency", "duty", "phase", "voltage", "soc"], 2)
+)
+
+
+@pytest.mark.parametrize("first, second", FIELD_PAIRS, ids=[f"{a} + {b}" for a, b in FIELD_PAIRS])
+def test_at_one_load_the_field_read_first_is_the_one_refused(tmp_path, first, second):
+    loads = [{"id": k, "amplitude_a": 2, "frequency_hz": 1, "duty_pct": 50} for k in range(3)]
+    for kind in (second, first):
+        loads[1].update(FAULTS[kind][0])
+    loads[2].update(FAULTS["amplitude"][0])  # a later load's fault in an earlier-ranked field
+    path = write_scenario(tmp_path, json.dumps({"loads": loads}))
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(path)
+    assert str(info.value) == f"{path}: loads[1]{FAULTS[first][1]}"
 
 
 # Report renderers against json.dumps(doc, indent=2, sort_keys=True) of the

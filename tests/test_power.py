@@ -16,6 +16,7 @@ from pulsesched import (
     NoAdmissibleError,
     NotOverLimitError,
     PulseSpec,
+    WorkBudgetError,
     backfill,
     enforce_limit,
     mean_power,
@@ -308,3 +309,42 @@ def test_admission_backfill_and_derating_match_the_reference(fleet, cap, grown_c
         assert vars(plan) == vars(ref_plan)
         assert [vars(s) for s in derated] == [vars(s) for s in ref_derated]
         assert drawn(plan, derated) == cap
+
+
+class TestDenominatorBudget:
+    """Admission's common denominators stay within power.MAX_DENOMINATOR_BITS or raise
+    WorkBudgetError; a fleet at the bound is planned as before."""
+
+    @staticmethod
+    def fleet(field: str, bits: int) -> list[PulseSpec]:
+        """Two loads whose `field` denominators, 3 and a power of two, have an lcm of `bits` bits."""
+        small, big = Fraction(1, 3), Fraction(1, 2 ** (bits - 2))  # lcm 3 * 2**(bits - 2)
+        fields = {"amplitude": 1, "soc": Fraction(1, 2)}
+        return [
+            PulseSpec(id=k, period=1, on_width=1, voltage=1, **{**fields, field: value})
+            for k, value in enumerate((small, big))
+        ]
+
+    @pytest.mark.parametrize("field", ["soc", "amplitude"])
+    @pytest.mark.parametrize("derate", [False, True])
+    def test_at_the_bound_the_plan_is_made(self, field, derate):
+        specs = self.fleet(field, power.MAX_DENOMINATOR_BITS)
+        cap = 10**6  # above the total, so the plan admits both loads and de-rates nothing
+        plan = prioritize_and_admit(specs, cap, derate=derate)
+        assert plan.admitted == ((1, 0) if field == "soc" else (0, 1))
+        assert plan.p_sum_w == total_mean_power(specs)
+
+    @pytest.mark.parametrize("field, what", [("soc", "SOCs"), ("amplitude", "mean powers")])
+    @pytest.mark.parametrize("derate", [False, True])
+    def test_one_bit_past_it_raises_a_work_budget_error(self, field, what, derate):
+        specs = self.fleet(field, power.MAX_DENOMINATOR_BITS + 1)
+        message = f"common denominator of the loads' {what} passes {power.MAX_DENOMINATOR_BITS} bits"
+        with pytest.raises(WorkBudgetError, match=re.escape(message)):
+            prioritize_and_admit(specs, 10**6, derate=derate)
+
+    def test_backfill_shares_the_budget(self):
+        specs = [*self.fleet("amplitude", power.MAX_DENOMINATOR_BITS + 1), load(9, 0, power_w=400)]
+        plan = prioritize_and_admit([specs[2]], 400)
+        plan = replace(plan, postponed=(0, 1))
+        with pytest.raises(WorkBudgetError):
+            backfill(plan, specs, 10**6)
