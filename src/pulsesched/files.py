@@ -170,15 +170,24 @@ def _shape(entry) -> str:
     return next((f".{key}: missing" for key in _REQUIRED if key not in entry), "")
 
 
+def _id(raw) -> int | str | ValueError:
+    """A load's id (a string, or an integer token's integer), or its refusal."""
+    if type(raw) is _Number and raw.lstrip("-").isdigit():  # an integer token
+        try:
+            return parse_ratio(raw)[0]  # each id is its own text: parsed with no memo
+        except ValueError as exc:  # past MAX_DIGITS
+            return exc
+    return raw if type(raw) is str else ValueError("must be an integer or string")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate one scenario file; errors are anchored to file and field.
 
-    Each load field is read as a column over the loads before the first misshapen
-    one, in C-level passes, and checked on the integers of its (num, den) once per
-    distinct text (duty and phase: text and period), in order of first occurrence.
-    So a column's first refusal is at its first refusing load. The run refuses the
-    earliest such load at its first field in the order id, amplitude, frequency,
-    duty, phase, voltage, soc, else the misshapen load: a load-by-load read's refusal.
+    Each load field is read as a column, in C-level passes over the loads before
+    the first misshapen one, and checked once per distinct text (duty and phase:
+    text and period) in first-occurrence order: a column's first refusal is at its
+    first refusing load. The earliest such load is refused at its first field (id,
+    amplitude, frequency, duty, phase, voltage, soc), else the misshapen load is.
     """
     path = Path(path)
     try:
@@ -241,20 +250,10 @@ def load_scenario(path: str | Path) -> Scenario:
                 break
         return list(map(values.__getitem__, keys))
 
-    raw_ids = list(map(itemgetter("id"), good))
-    ids = []  # plain integer tokens at once, as parse_ratio reads them; other ids one by one
-    if all(map(isinstance, raw_ids, repeat(_Number))) and all(map(str.isdecimal, raw_ids)):
-        ids = list(map(int, raw_ids)) if max(map(len, raw_ids), default=0) <= MAX_DIGITS else ids
-    for raw in raw_ids[len(ids) :]:
-        try:
-            if isinstance(raw, _Number) and raw.lstrip("-").isdigit():  # an integer token
-                raw = parse_ratio(raw)[0]  # each id is its own text: parsed with no memo
-            elif type(raw) is not str:  # a float token, a boolean, ...
-                raise ValueError("must be an integer or string")
-        except ValueError as exc:
-            refusals.append((len(ids), "id", exc))
-            break
-        ids.append(raw)
+    ids = list(map(_id, map(itemgetter("id"), good)))
+    if not all(map(isinstance, ids, repeat((int, str)))):  # a refused id is its ValueError
+        k = next(k for k, load_id in enumerate(ids) if isinstance(load_id, ValueError))
+        refusals.append((k, "id", ids[k]))
     first = dict(zip(reversed(ids), reversed(range(len(ids)))))  # each id's first load
     if len(first) < len(ids):
         k = next(k for k, load_id in enumerate(ids) if first[load_id] != k)
