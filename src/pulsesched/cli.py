@@ -18,7 +18,8 @@ ValueError: an infeasible power plan, a duty de-rating whose scaled
 on-widths fall off the tick grid, a hyperperiod beyond the tick range, a
 waveform sweep above its edge budget, an admission whose common denominator
 passes power.MAX_DENOMINATOR_BITS, and an OSError while creating `--out`,
-writing a report or printing, whose line names the path or `stdout`. Each
+writing a report or printing, whose line names the path or `stdout`, as does
+a stdout whose encoding cannot encode the lines. Each
 failure prints one `error:` line to stderr. `schedule` schedules every
 group, so its `--allow-partial` is accepted and ignored.
 """
@@ -167,7 +168,7 @@ def _discard_stdout() -> None:
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     written: list[Path] = []  # this run's reports, removed again if a later step fails
-    printing = False  # an OSError from here on is stdout's, not a report's
+    printing = False  # an error from here on is stdout's, not a report's
     try:
         scenario = load_scenario(args.scenario)
         lines, reports, profile = args.func(args, scenario)
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
         print("\n".join(lines), flush=True)
         return 0
     except (PulseSchedError, ValueError) as exc:
-        message = str(exc)
+        message = f"cannot write stdout: {exc}" if printing else str(exc)  # print's UnicodeEncodeError
         code = next((code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)), EXIT_INFEASIBLE)
     except OSError as exc:
         # creating --out, writing a report or printing: load_scenario maps its own read errors

@@ -17,9 +17,10 @@ indent=2, sort_keys=True), built without it, since any indent selects
 json's pure-Python encoder: a scenario or schedule row is one "%" template,
 each distinct quantity is rendered once per document, and a flat list or
 object is one C-encoder call whose item separator carries the indent. The
-waveform writers format in bulk, each distinct level once, with the bytes
-that `seconds_str` and `exact_str` give. All writes go through a temp file
-and rename, and repeated runs produce identical bytes.
+waveform writers format each run of values, in slices of at most 1024, by
+one "%" call over a template and join the pieces, with the bytes of
+`seconds_str`, `exact_str` and "%.2f". All writes go through a temp file and
+rename, and repeated runs produce identical bytes.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, pairwise, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -436,10 +437,12 @@ def waveform_csv(profile: StepProfile) -> str:
         texts = map(_ratio_str, levels, repeat(den))
     else:  # every level is a whole number of millionths, so its text is a seconds text
         texts = seconds_strs([v * (TICKS_PER_SECOND // den) for v in levels])
-    text_of = dict(zip(levels, texts))
-    times = seconds_strs(profile.breakpoints)
-    rows = zip(times, repeat(","), map(text_of.__getitem__, profile.scaled), repeat("\n"))
-    return "t_s,i_total_a\n" + "".join(chain.from_iterable(rows))  # no row string is built
+    text_of = dict(zip(levels, map(",%s\n".__mod__, texts)))
+    # one join: the header, then each row as its time and its level
+    pieces = ["t_s,i_total_a\n", *repeat(None, 2 * len(profile.scaled))]
+    pieces[1::2] = seconds_strs(profile.breakpoints)
+    pieces[2::2] = map(text_of.__getitem__, profile.scaled)
+    return "".join(pieces)
 
 
 def waveform_svg(profile: StepProfile, title: str) -> str:
@@ -458,38 +461,42 @@ def waveform_svg(profile: StepProfile, title: str) -> str:
     scale_x = span_x / profile.hyperperiod
     scale_y = span_y / float(top_level * Fraction(11, 10) / (1 << shift))
 
-    # v / den is correctly rounded, so it equals float(Fraction(v, den));
-    # each distinct level and each breakpoint is formatted once
-    ys = {v: f"{height - bottom - v / den * scale_y:.2f}" for v in set(scaled)}
-    # left-to-right step outline; the stretch before the first breakpoint
-    # belongs to the cyclic last segment
-    ticks, levels = (*bps, profile.hyperperiod), scaled
-    if bps[0] > 0:
-        ticks, levels = (0, *ticks), (scaled[-1], *scaled)
-    xs = map("%.2f".__mod__, map(left.__add__, map(scale_x.__rmul__, ticks)))
-    points = [f"{x},{y} {end},{y}" for (x, end), y in zip(pairwise(xs), map(ys.__getitem__, levels))]
-
-    axis = (
+    text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # xml.sax's escape
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.0f} {height:.0f}">\n'
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>\n'
         f'<line x1="{left:.2f}" y1="{height - bottom:.2f}" x2="{width - right:.2f}" '
         f'y2="{height - bottom:.2f}" stroke="black"/>'
         f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" '
-        f'y2="{height - bottom:.2f}" stroke="black"/>'
-    )
-    text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")  # xml.sax's escape
-    labels = (
+        f'y2="{height - bottom:.2f}" stroke="black"/>\n'
         f'<text x="{left:.2f}" y="{top - 10:.2f}" font-size="14">{text}</text>'
         f'<text x="{left - 8:.2f}" y="{top + 12:.2f}" font-size="12" text-anchor="end">'
         f"{amount_str(top_level)} A</text>"
         f'<text x="{width - right:.2f}" y="{height - bottom + 18:.2f}" font-size="12" '
         f'text-anchor="end">{seconds_str(profile.hyperperiod)} s</text>'
         f'<text x="{left - 8:.2f}" y="{height - bottom:.2f}" font-size="12" '
-        f'text-anchor="end">0</text>'
+        f'text-anchor="end">0</text>\n'
+        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="'
     )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width:.0f} {height:.0f}">\n'
-        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>\n'
-        f"{axis}\n{labels}\n"
-        f'<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" '
-        f'points="{" ".join(points)}"/>\n'
-        "</svg>\n"
-    )
+    # v / den is correctly rounded, so it equals float(Fraction(v, den)); the
+    # distinct levels take one "%" call over a "%.2f" template, the xs one a slice
+    distinct = tuple(set(scaled))
+    ys = tuple(height - bottom - v / den * scale_y for v in distinct)
+    ys = dict(zip(distinct, ("%.2f\n" * len(ys) % ys).splitlines()))
+    # left-to-right step outline; the stretch before the first breakpoint
+    # belongs to the cyclic last segment
+    ticks, levels = (*bps, profile.hyperperiod), scaled
+    if bps[0] > 0:
+        ticks, levels = (0, *ticks), (scaled[-1], *scaled)
+    # the head, then slices of at most 1024 segments, segment k as the pieces
+    # x_k, y_k, x_k+1, y_k (each x with the space before it and a comma)
+    parts = [head]
+    for start in range(0, len(levels), 1024):
+        xs = tuple(map(left.__add__, map(scale_x.__rmul__, ticks[start : start + 1025])))
+        xs = (" %.2f,\n" * len(xs) % xs).splitlines()
+        pieces = [None] * (4 * len(xs) - 4)
+        pieces[::4], pieces[2::4] = xs[:-1], xs[1:]
+        pieces[1::4] = pieces[3::4] = list(map(ys.__getitem__, levels[start : start + 1024]))
+        parts.append("".join(pieces))
+    parts[1] = parts[1][1:]  # no space before the chart's first x
+    return "".join([*parts, '"/>\n</svg>\n'])

@@ -122,20 +122,23 @@ def seconds_str(ticks: int) -> str:
 def seconds_strs(ticks: tuple[int, ...] | list[int]) -> list[str]:
     """list(map(seconds_str, ticks)) for sorted non-negative ticks, formatted in bulk.
 
-    Each run of ticks within one whole second is formatted with that second's
-    digits fixed in the format string and its offset as "%06d", then stripped
-    of trailing zeros; only a run's first ticks can be the whole second itself.
+    Each run of ticks within one whole second, of at most 1024 so that the
+    temporaries stay small, is one "%" call over a template of f"{whole}.%06d"
+    lines, split once and stripped of trailing zeros; only a run's first ticks
+    can be the whole second itself.
     """
     texts: list[str] = []
     start, count = 0, len(ticks)
     while start < count:
         whole = ticks[start] // TICKS_PER_SECOND
         base = whole * TICKS_PER_SECOND
-        stop = bisect_left(ticks, base + TICKS_PER_SECOND, start + 1)
-        # below 1 s a tick is its own offset; the subtraction skipped there
-        # wins paired simulate-sweep runs (BENCH_13.json)
-        offsets = map(base.__rsub__, ticks[start:stop]) if base else ticks[start:stop]
-        texts += map(str.rstrip, map(f"{whole}.%06d".__mod__, offsets), repeat("0"))
+        stop = bisect_left(ticks, base + TICKS_PER_SECOND, start + 1, min(count, start + 1024))
+        # below 1 s a tick is its own offset, the subtraction skipped there wins
+        # paired simulate-sweep runs (BENCH_13.json); a tuple grown from an
+        # iterator is resized, which fills the free lists of small tuples
+        offsets = tuple([*map(base.__rsub__, ticks[start:stop])] if base else ticks[start:stop])
+        lines = (f"{whole}.%06d\n" * (stop - start) % offsets).splitlines()
+        texts += map(str.rstrip, lines, repeat("0"))
         if ticks[start] == base:
             end = bisect_right(ticks, base, start + 1, stop)
             texts[start:end] = [str(whole)] * (end - start)

@@ -14,7 +14,9 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from pulsesched import PulseSpec, load_sort_key
+from pulsesched import PulseSpec, StepProfile, load_sort_key
+from pulsesched.files import exact_str
+from pulsesched.ticks import seconds_str
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -262,6 +264,40 @@ def lex_min_placement(
     """The lex-min item->bin vector, then item->class vector, of a feasible flag vector."""
     bin_of = next(_bin_vectors(specs, flags, t_lcm))
     return bin_of, next(_class_vectors(specs, bin_of, t_lcm))
+
+
+def oracle_waveform_csv(profile: StepProfile) -> str:
+    """The waveform CSV row by row, from the scalar formatters alone."""
+    rows = (
+        f"{seconds_str(t)},{exact_str(Fraction(v, profile.denominator))}\n"
+        for t, v in zip(profile.breakpoints, profile.scaled)
+    )
+    return "t_s,i_total_a\n" + "".join(rows)
+
+
+def oracle_svg_points(profile: StepProfile) -> str:
+    """The SVG polyline's points corner by corner, each coordinate by "%.2f".
+
+    The chart spans x 60-820 and y 330-40 (bottom to top) over one hyperperiod
+    and 1.1 times the top level, at least 1 A; a level past 2**1000 is drawn
+    over a power of two, which changes no rounding, so float() cannot
+    overflow. The stretch before the first breakpoint belongs to the last
+    segment.
+    """
+    levels = [Fraction(v, profile.denominator) for v in profile.scaled]
+    top = max(max(levels), Fraction(1))
+    shift = max(0, top.numerator.bit_length() - top.denominator.bit_length() - 1000)
+    scale_x = 760.0 / profile.hyperperiod
+    scale_y = 290.0 / float(top * Fraction(11, 10) / 2**shift)
+    corners = []
+    ticks = [*profile.breakpoints, profile.hyperperiod]
+    if ticks[0] > 0:
+        ticks, levels = [0, *ticks], [levels[-1], *levels]
+    for k, level in enumerate(levels):
+        y = 320.0 - float(level / 2**shift) * scale_y
+        for t in ticks[k : k + 2]:
+            corners.append("%.2f,%.2f" % (60.0 + t * scale_x, y))
+    return " ".join(corners)
 
 
 def random_samefreq_fleet(rng, n: int, period: int = 60) -> list[PulseSpec]:

@@ -348,6 +348,35 @@ class TestErrorContract:
         svg = (tmp_path / "pulsé.waveform.svg").read_bytes().decode("utf-8")
         assert "pulsé" in svg
 
+    def test_stdout_that_cannot_encode_the_lines_exits_3_naming_stdout(self, tmp_path):
+        sc = tmp_path / "accent.json"
+        sc.write_text(
+            '{"loads": [{"id": "\\u00e9", "amplitude_a": 10, "frequency_hz": 10, "duty_pct": 50,'
+            ' "phase_s": 0, "voltage_v": 400, "soc_pct": 50}], "power": {"p_max_w": 100000}}'
+        )
+        package_root = str(Path(pulsesched.__file__).parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+            "LC_ALL": "C",
+        }
+        env.pop("PYTHONIOENCODING", None)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pulsesched.cli", "plan-power", sc, "--out", out],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == (
+            "error: cannot write stdout: 'ascii' codec can't encode character '\\xe9' "
+            "in position 12: ordinal not in range(128)\n"
+        )
+        assert list(out.iterdir()) == []
+
 
 class TestPlanPower:
     def test_greedy_split(self, tmp_path):

@@ -10,13 +10,14 @@ import stat
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from xml.dom import minidom
 
 import pytest
-from helpers import reference_module
-from hypothesis import given, seed, settings
+from helpers import oracle_svg_points, oracle_waveform_csv, reference_module
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from pulsesched import (
@@ -288,6 +289,56 @@ class TestScenarioRoundTrip:
         assert sc.power_mode == "amplitude"
 
 
+S = ticks.TICKS_PER_SECOND
+
+
+@st.composite
+def step_profiles(draw):
+    """Profiles at the writers' edges: thousands of breakpoints within one
+    second or a few spread over many, one breakpoint, a first breakpoint past
+    0 (the first stretch wraps from the last segment), and levels that are
+    decimal or "p/q", negative, thinly spread over many amperes or past 2**1000.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    hyperperiod = draw(st.sampled_from((2, 7, S, 3 * S, 10**4 * S)))
+    n = min(hyperperiod, draw(st.sampled_from((1, 2, 3, 5, 40, 5000))))
+    if n == 1:
+        bps = [0]
+    else:
+        second = rng.randrange(hyperperiod // S) * S if hyperperiod > S and draw(st.booleans()) else 0
+        stop = min(hyperperiod, second + S) if second or draw(st.booleans()) else hyperperiod
+        bps = sorted(rng.sample(range(second, stop), n))
+        if draw(st.booleans()):
+            bps[0] = 0
+    den = draw(st.sampled_from((1, 10, S, 3, 7, 12)))
+    low, high = draw(
+        st.sampled_from(
+            (
+                (0, 2 * den),  # two amperes: at den 10**6, thousands of levels in one
+                (0, 10**7 * den),  # thinly over many amperes
+                (-50 * den, 50 * den),
+                (2**1000 * den, 2**1010 * den),
+            )
+        )
+    )
+    size = max(3, n // draw(st.sampled_from((1, 4, 50))))
+    pool = list({low, low + 1, low + 2, *(rng.randrange(low, high) for _ in range(size))})
+    return StepProfile(hyperperiod, tuple(bps), _level_walk(rng, pool, n), den)
+
+
+def _level_walk(rng, pool: list[int], n: int) -> tuple[int, ...]:
+    """n levels drawn from a pool of at least 3, each unlike the one before it
+    and the last unlike the first (a maximally merged profile)."""
+    scaled: list[int] = []
+    for k in range(n):
+        banned = {scaled[-1], scaled[0]} if k == n - 1 and k else set(scaled[-1:])
+        level = rng.choice(pool)
+        while level in banned:
+            level = rng.choice(pool)
+        scaled.append(level)
+    return tuple(scaled)
+
+
 class TestWaveformExports:
     def test_csv_one_row_per_breakpoint(self):
         prof = aggregate_profile(
@@ -328,6 +379,35 @@ class TestWaveformExports:
             for t, v in zip(profile.breakpoints, profile.scaled)
         ]
         assert waveform_csv(profile) == "t_s,i_total_a\n" + "\n".join(rows) + "\n"
+
+    @seed(20624)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(step_profiles())
+    @example(StepProfile(S, tuple(range(0, 21_000, 7)), tuple(range(3000)), S))  # 3000 levels under 1 A
+    @example(  # a breakpoint every 3 s and a level every 0.7 A
+        StepProfile(10**4 * S, tuple(range(0, 9000 * S, 3 * S + 1)), tuple(range(3, 2100 * S, 700_001)), S)
+    )
+    def test_writers_match_the_scalar_oracles(self, profile):
+        assert waveform_csv(profile) == oracle_waveform_csv(profile)
+        svg = waveform_svg(profile, "fleet")
+        assert svg.split(' points="')[1].split('"')[0] == oracle_svg_points(profile)
+
+    # the bounds sit 25 % above the peak-to-output ratios of writers that format
+    # and join value by value: 8.7 (CSV) and 5.96 (SVG) on CPython 3.11
+    @pytest.mark.parametrize(
+        "writer, title, bound", [(waveform_csv, (), 10.9), (waveform_svg, ("fleet",), 7.45)], ids=["csv", "svg"]
+    )
+    def test_writer_peak_memory_is_bounded_by_its_output(self, writer, title, bound):
+        rng = random.Random(24)
+        bps = tuple(sorted(rng.sample(range(S), 10_000)))
+        profile = StepProfile(S, bps, _level_walk(rng, rng.sample(range(5000), 1000), len(bps)), 10)
+        tracemalloc.start()
+        try:
+            text = writer(profile, *title)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(text)
 
     def test_svg_is_a_single_polyline_step_chart(self):
         prof = aggregate_profile(

@@ -297,5 +297,12 @@ def sorted_ticks(draw) -> list[int]:
 @example([S - 1, S, S + 1] + [3 * S + k for k in range(40)])
 @example(list(range(S - 20, S + 20)))
 @example([MAX_TICK - 1, MAX_TICK])
+@example([S])
+@example([123])
+@example(list(range(5 * S, 5 * S + 10_000, 2)))  # a long run from a whole second
+@example([S + 1 + 3 * k for k in range(5000)])
+@example([k * S + k for k in range(1, 400)])  # one tick in each of many seconds
+@example([k * 10**9 * S + 7 for k in range(50)])
+@example([2**1000 * S, 2**1000 * S + 1, 2**1001 * S + 500_000])  # past 2**1000
 def test_seconds_strs_is_seconds_str_in_bulk(ticks):
     assert seconds_strs(ticks) == list(map(seconds_str, ticks))
