@@ -28,10 +28,10 @@ over each load's work in one hyperperiod H (width times pulse count)
 with capacity H: a group's pulses are disjoint, so its work fits H. Per
 subset a host check comes first, then one complete backtracking search
 that places the items in the rule's order, each at the rule's offset,
-trying hosts by bin index. For the first subset that realizes it pins
-each item in input order to its smallest bin, then to its smallest slot
-class, that still lets every item take an offset; the all-bins subset
-has no items, so some subset always realizes.
+trying hosts by bin index, then slot classes in ascending order. The
+first subset that realizes takes the first placement that the search
+finds in the rule's order; the all-bins subset has no items, so some
+subset always realizes.
 """
 from __future__ import annotations
 
@@ -114,40 +114,17 @@ class _Packer:
             room[j] = 0
         return room
 
-    def packs(self, room: list[int], pending: dict[int, tuple]) -> bool:
-        """Whether the rule gives every pending item an offset; `room` is left as it was.
-
-        `pending` maps each item to its (width, options); an item pinned to
-        one bin, or to one class of it, has that option only.
-        """
-        todo = [pending[j] for j in self.order if j in pending]
-        pinned = {options[0][0] for _, options in todo if len(options) == 1}
-        return _search(room, self.placed, pinned, todo, 0)
-
-    def lex_min(self, items: tuple[int, ...], room: list[int]) -> dict[int, tuple[int, int]]:
-        """Each item's (bin, slot class): smallest bin in input order, then smallest class.
-
-        Pass 1 pins each item to its smallest bin that still lets every item
-        take an offset, pass 2 to its smallest class that does.
-        """
-        pending = {j: self.entries[j] for j in items}
-        for by_class in (False, True):
-            for j in items:
-                w, options = pending[j]
-                if by_class:
-                    [(b, stacks, r, classes)] = options
-                    if len(classes) == 1:  # pass 1 placed it in its only class
-                        continue
-                    options = ((b, stacks, r, range(c, c + 1)) for c in classes)
-                for option in options:
-                    if room[option[0]] < w:
-                        continue
-                    pending[j] = (w, [option])
-                    if self.packs(room, pending):
-                        break
-                else:
-                    raise AssertionError("unreachable: subset was verified packable")
-        return {j: (b, classes[0]) for j, (_, [(b, _, _, classes)]) in pending.items()}
+    def place(self, items: tuple[int, ...]) -> dict[int, tuple[int, int]] | None:
+        """Each item's (bin, slot class) in the search's first solution; None if there is none."""
+        room = self.room_for(items)
+        if room is None:
+            return None
+        members = set(items)
+        order = [j for j in self.order if j in members]
+        chosen = [None] * len(order)
+        if not _search(room, self.placed, [self.entries[j] for j in order], chosen, 0):
+            return None
+        return dict(zip(order, chosen))
 
 
 def _l2_bound(sizes: list[int], cap: int) -> int:
@@ -161,15 +138,15 @@ def _l2_bound(sizes: list[int], cap: int) -> int:
     return best
 
 
-def _search(room: list[int], placed: list[list], pinned: set[int], todo: list, pos: int) -> bool:
+def _search(room: list[int], placed: list[list], todo: list, chosen: list, pos: int) -> bool:
     """Complete backtracking over (bin, slot class) for todo[pos:], in option order.
 
     Each item takes the lowest offset of the chosen class; an option whose
-    offset leaves the off-interval is skipped. Bins with equal keys host
-    every later item alike, so only the first of them is tried at each
+    offset leaves the off-interval is skipped. On success chosen[pos:]
+    holds the first solution. Bins with equal keys host every later item
+    alike, as none is wider, so only the first of them is tried at each
     node: a stacking bin's key is its room, another bin's is its ratio,
-    off-width and intervals, and a bin that some item is pinned to has a
-    key of its own.
+    off-width and intervals.
     """
     if pos == len(todo):
         return True
@@ -180,13 +157,14 @@ def _search(room: list[int], placed: list[list], pinned: set[int], todo: list, p
         if cap < w:
             continue
         others = placed[b]
-        key = (b,) if b in pinned else cap if stacks else (ratio, cap, tuple(others))
+        key = cap if stacks else (ratio, cap, tuple(others))
         if key in tried:
             continue
         tried.add(key)
         if stacks:
             room[b] = cap - w
-            done = _search(room, placed, pinned, todo, pos + 1)
+            chosen[pos] = (b, 1)
+            done = _search(room, placed, todo, chosen, pos + 1)
             room[b] = cap
             if done:
                 return True
@@ -196,7 +174,8 @@ def _search(room: list[int], placed: list[list], pinned: set[int], todo: list, p
             if offset is None:
                 continue
             others.append((ratio, c, offset, offset + w))
-            done = _search(room, placed, pinned, todo, pos + 1)
+            chosen[pos] = (b, c)
+            done = _search(room, placed, todo, chosen, pos + 1)
             others.pop()
             if done:
                 return True
@@ -230,8 +209,9 @@ def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
 
     Deterministic: among the placements that the offset rule realizes it
     takes the fewest bins, then the lexicographically smallest bin-flag
-    vector over the input order, then the lexicographically smallest
-    item->bin vector, then item->slot-class vector.
+    vector over the input order, then the first placement that the search
+    finds in the rule's order: the lexicographically smallest (bin, slot
+    class) sequence over the items by descending width, ties by id.
     """
     if not specs:
         raise EmptyInputError("nothing to schedule")
@@ -241,10 +221,9 @@ def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
         # item-position combinations in lexicographic order enumerate the
         # bin-flag vectors in lexicographic order for this bin count
         for items in combinations(range(n), n - count):
-            room = packer.room_for(items)
-            if room is not None and packer.packs(room, {j: packer.entries[j] for j in items}):
-                placed = packer.lex_min(items, room)
-                return AssignmentMultiFreq(placement=tuple(placed.get(i) for i in range(n)))
+            found = packer.place(items)
+            if found is not None:
+                return AssignmentMultiFreq(placement=tuple(found.get(i) for i in range(n)))
     raise AssertionError("unreachable: the all-bins subset has no items")
 
 

@@ -182,14 +182,15 @@ def lowest_offsets_realize(
     return True
 
 
-def oracle_lex_min_bins(
+def oracle_first_placement(
     specs: list[PulseSpec],
 ) -> tuple[tuple[int, ...], dict[int, int], dict[int, int]]:
     """The first placement that the lowest-offset rule realizes, by brute force.
 
-    Bin-flag vectors are tried by size, then in lex order; within one
-    vector, item->bin vectors and then item->class vectors (1-based) in lex
-    order. The first placement that passes `lowest_offsets_realize` wins.
+    Bin-flag vectors are tried by size, then in lex order. Within one
+    vector, the items' (bin, class) pairs (class 1-based) are tried in lex
+    order over the items in the rule's order: by descending width, ties by
+    id. The first placement that passes `lowest_offsets_realize` wins.
     Per-slot capacity, which every placement that realizes keeps, prunes
     the enumeration; the all-bins vector has no items and always realizes.
     """
@@ -202,68 +203,49 @@ def oracle_lex_min_bins(
             if multifreq_subset_feasible(specs, bins, t_lcm)
         )
         for flags in vectors:
-            for bin_of in _bin_vectors(specs, flags, t_lcm):
-                for class_of in _class_vectors(specs, bin_of, t_lcm):
-                    if lowest_offsets_realize(specs, bin_of, class_of, t_lcm):
-                        return flags, bin_of, class_of
+            for bin_of, class_of in rule_order_placements(specs, flags, t_lcm):
+                if lowest_offsets_realize(specs, bin_of, class_of, t_lcm):
+                    return flags, bin_of, class_of
     raise AssertionError("the all-bins vector always realizes")
 
 
-def _bin_vectors(specs: list[PulseSpec], flags: tuple[int, ...], t_lcm: int):
-    """Item->bin maps of a flag vector in lex order, each with classes that fit every slot."""
+def rule_order_placements(specs: list[PulseSpec], flags: tuple[int, ...], t_lcm: int):
+    """(item->bin, item->class) maps of a flag vector within every slot's capacity.
+
+    They come in lex order of the (bin, class) sequence over the items by
+    descending width, ties by id.
+    """
     bins = [i for i, f in enumerate(flags) if f]
-    items = [i for i, f in enumerate(flags) if not f]
+    items = sorted(
+        (i for i, f in enumerate(flags) if not f),
+        key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)),
+    )
+    loads = {b: [0] * (t_lcm // specs[b].period) for b in bins}
     bin_of: dict[int, int] = {}
-
-    def choose(pos: int):
-        if pos == len(items):
-            yield dict(bin_of)
-            return
-        j = items[pos]
-        for b in bins:
-            if specs[j].period % specs[b].period == 0:
-                bin_of[j] = b
-                if next(_class_vectors(specs, bin_of, t_lcm), None) is not None:
-                    yield from choose(pos + 1)
-                del bin_of[j]
-
-    yield from choose(0)
-
-
-def _class_vectors(specs: list[PulseSpec], bin_of: dict[int, int], t_lcm: int):
-    """Item->class maps (1-based) of an item->bin map in lex order, within every slot's capacity."""
-    items = sorted(bin_of)
-    loads = {b: [0] * (t_lcm // specs[b].period) for b in bin_of.values()}
     class_of: dict[int, int] = {}
 
     def choose(pos: int):
         if pos == len(items):
-            yield dict(class_of)
+            yield dict(bin_of), dict(class_of)
             return
         j = items[pos]
-        b = bin_of[j]
         w = specs[j].on_width
-        ratio = specs[j].period // specs[b].period
-        slots = loads[b]
-        for cls in range(1, ratio + 1):
-            hit = range(cls - 1, len(slots), ratio)
-            if all(slots[k] + w <= specs[b].off_width for k in hit):
-                for k in hit:
-                    slots[k] += w
-                class_of[j] = cls
-                yield from choose(pos + 1)
-                for k in hit:
-                    slots[k] -= w
+        for b in bins:
+            if specs[j].period % specs[b].period:
+                continue
+            ratio = specs[j].period // specs[b].period
+            slots = loads[b]
+            for cls in range(1, ratio + 1):
+                hit = range(cls - 1, len(slots), ratio)
+                if all(slots[k] + w <= specs[b].off_width for k in hit):
+                    for k in hit:
+                        slots[k] += w
+                    bin_of[j], class_of[j] = b, cls
+                    yield from choose(pos + 1)
+                    for k in hit:
+                        slots[k] -= w
 
     yield from choose(0)
-
-
-def lex_min_placement(
-    specs: list[PulseSpec], flags: tuple[int, ...], t_lcm: int
-) -> tuple[dict[int, int], dict[int, int]]:
-    """The lex-min item->bin vector, then item->class vector, of a feasible flag vector."""
-    bin_of = next(_bin_vectors(specs, flags, t_lcm))
-    return bin_of, next(_class_vectors(specs, bin_of, t_lcm))
 
 
 def oracle_waveform_csv(profile: StepProfile) -> str:

@@ -1,19 +1,20 @@
 """Multi-frequency grouping model over the hyperperiod."""
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 from helpers import (
     assert_bins_at_unit_level,
-    lex_min_placement,
     lowest_offsets_realize,
     multifreq_subset_feasible,
-    oracle_lex_min_bins,
+    oracle_first_placement,
     oracle_min_bins_multifreq,
     oracle_min_bins_samefreq,
     random_multifreq_fleet,
     random_samefreq_fleet,
     reference_module,
+    rule_order_placements,
 )
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from pulsesched import (
     PulseSpec,
     check_groupability,
     hyperperiod,
+    load_sort_key,
     multifreq,
     realize_phases_multifreq,
     solve_multifreq,
@@ -48,6 +50,12 @@ def slots_of(specs, a, j):
 def bins_of(a):
     """Each item's bin, keyed by the item's position."""
     return {j: p[0] for j, p in enumerate(a.placement) if p is not None}
+
+
+def narrow_pulses(n, seed):
+    """n loads of period 1000 ticks with widths drawn from 50..500."""
+    rng = random.Random(f"{n}:{seed}")
+    return [spec(i + 1, 1000, rng.randint(50, 500), amp=1) for i in range(n)]
 
 
 class TestGroupability:
@@ -130,28 +138,43 @@ class TestSolve:
         with pytest.raises(EmptyInputError):
             solve_multifreq([])
 
-    def test_bin_pinned_by_an_item_is_not_interchangeable(self):
-        # a and b look alike, but x is tried on a first: the wider y must then
-        # go to b, and the search may not skip b as a copy of a
+    def test_bin_that_holds_an_item_is_not_interchangeable(self):
+        # a and b look alike until the wider y takes a: x then finds no
+        # offset in a, and the search may not skip b as a copy of a
         specs = [spec("x", 20, 3), spec("y", 10, 4), spec("a", 10, 5), spec("b", 10, 5)]
         a = solve_multifreq(specs)
         assert a.bin_flags == (0, 0, 1, 1)
-        assert a.placement == ((2, 1), (3, 1), None, None)
+        assert a.placement == ((3, 1), (2, 1), None, None) == oracle_placement(specs)
 
-    def test_equal_bins_are_tried_once_per_node(self, monkeypatch):
-        # 14 loads of 40 % duty pair up on 7 bins; a search that tried every
-        # one of the equal bins at each node would visit over 10**6 nodes
+    @pytest.mark.parametrize(
+        "specs, bins, most_calls",
+        [
+            # 14 loads of 40 % duty pair up on 7 bins; a search that tried
+            # every one of the equal bins at each node would visit over
+            # 10**6 nodes
+            ([spec(i, 100, 40) for i in range(1, 15)], 7, 100_000),
+            # narrow pulses: the first subset packs at the L2 bound (7, 6
+            # and 9 bins), and the search's first placement in it is the answer
+            (narrow_pulses(24, 1), 7, 1000),
+            (narrow_pulses(24, 2), 6, 1000),
+            (narrow_pulses(32, 2), 9, 1000),
+        ],
+        ids=["14-at-40pc", "narrow-24-seed-1", "narrow-24-seed-2", "narrow-32-seed-2"],
+    )
+    def test_equal_bins_are_tried_once_per_node(self, monkeypatch, specs, bins, most_calls):
         calls = 0
         search = multifreq._search
 
         def counted(*args):
             nonlocal calls
             calls += 1
-            assert calls <= 100_000, "the search tries equal bins more than once"
+            assert calls <= most_calls, "the search tries equal bins more than once"
             return search(*args)
 
         monkeypatch.setattr(multifreq, "_search", counted)
-        assert solve_multifreq([spec(i, 100, 40) for i in range(1, 15)]).bins_used == 7
+        a = solve_multifreq(specs)
+        assert a.bins_used == bins
+        assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
     def test_degenerates_to_samefreq_on_equal_periods(self):
         # equal periods are the ratio-1 case: one slot per bin, class 1 for all
@@ -167,7 +190,8 @@ class TestSolve:
                 [ref_waveform.PulseSpec(s.id, s.amplitude, s.period, s.on_width, s.phase) for s in specs]
             )
             assert multi.bin_flags == frozen.bin_flags
-            assert {j: p[0] for j, p in enumerate(multi.placement) if p} == frozen.placement
+            assert multi.placement == oracle_placement(specs)
+            assert_bins_at_unit_level(specs, multi, realize_phases_multifreq(specs, multi))
             assert multi.bins_used == oracle_min_bins_samefreq(specs)
             assert all(p is None or p[1] == 1 for p in multi.placement)
             assert all(slots_of(specs, multi, j) == (1,) for j in bins_of(multi))
@@ -205,9 +229,14 @@ class TestSolve:
             ]
             assert a.bin_flags == min(vectors)
 
-            # smallest (bin vector, class vector) among complete assignments
+            # smallest (bin, class) sequence over the items in the rule's
+            # order (by descending width, ties by id) among complete
+            # assignments within per-slot capacity
             bins = [i for i, f in enumerate(a.bin_flags) if f]
-            items = [i for i, f in enumerate(a.bin_flags) if not f]
+            items = sorted(
+                (i for i, f in enumerate(a.bin_flags) if not f),
+                key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)),
+            )
             best = None
             candidates = {
                 j: [b for b in bins if specs[j].period % specs[b].period == 0
@@ -225,13 +254,10 @@ class TestSolve:
                             if loads[b][k] > specs[b].off_width:
                                 ok = False
                     if ok:
-                        key = (mapping, classes)
+                        key = tuple(zip(mapping, classes))
                         best = key if best is None else min(best, key)
-            got = (
-                tuple(a.placement[j][0] for j in items),
-                tuple(a.placement[j][1] for j in items),
-            )
-            assert got == best
+            assert tuple(a.placement[j] for j in items) == best
+            assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
     def test_window_rule_held_by_solver_outputs(self):
         rng = random.Random(227)
@@ -423,8 +449,8 @@ class TestVerify:
 
 
 def oracle_placement(specs):
-    """The placement that `oracle_lex_min_bins` finds, in the solver's format."""
-    flags, bin_of, class_of = oracle_lex_min_bins(specs)
+    """The placement that `oracle_first_placement` finds, in the solver's format."""
+    flags, bin_of, class_of = oracle_first_placement(specs)
     return tuple(None if flags[i] else (bin_of[i], class_of[i]) for i in range(len(specs)))
 
 
@@ -472,11 +498,11 @@ def test_realization_fails_loudly_or_never_overlaps(specs):
     assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
 
-# (period, width) ticks at phase 0, with the rule's answer. The capacity
-# lex-min placement of the first bin-flag vector that packs fails the rule
-# in all but W: in U, B and V a later placement of that vector realizes, A
-# and C need a later vector. W has bins that look alike to the search but
-# that a pinned item tells apart.
+# (period, width) ticks at phase 0, with the rule's answer from
+# `oracle_first_placement`. The first placement within per-slot capacity,
+# in the rule's order, of the first bin-flag vector that packs fails the
+# rule in A, B, C and U: in U and B a later placement of that vector
+# realizes, A and C need a later vector. In V and W it realizes.
 LEX_MIN_FIXTURES = {
     "U": (
         ((36, 3), (12, 2), (24, 5), (72, 3), (24, 3)),
@@ -484,7 +510,7 @@ LEX_MIN_FIXTURES = {
     ),
     "A": (
         ((45, 2), (45, 3), (15, 3), (30, 3), (30, 8), (30, 6)),
-        ((2, 1), (2, 2), None, (2, 1), (2, 2), None),
+        ((2, 2), (2, 1), None, (2, 2), (2, 1), None),
     ),
     "B": (
         ((14, 4), (28, 7), (56, 18), (14, 2), (28, 6), (28, 2), (28, 8)),
@@ -492,7 +518,7 @@ LEX_MIN_FIXTURES = {
     ),
     "C": (
         ((39, 12), (26, 3), (13, 4), (13, 1), (26, 6), (26, 5), (39, 4)),
-        ((6, 1), (2, 1), None, (2, 1), (2, 2), (2, 1), None),
+        ((6, 1), (2, 2), None, (2, 1), (2, 1), (2, 2), None),
     ),
     "V": (
         ((36, 2), (6, 1), (18, 2), (12, 2), (12, 3)),
@@ -513,18 +539,18 @@ def test_solver_takes_the_lex_min_placement_that_realizes(name):
     assert a.placement == expected
     assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
     assert a.placement == oracle_placement(specs)
-    assert _capacity_first_fails_the_rule(specs) == (name != "W")
+    assert _capacity_first_fails_the_rule(specs) == (name not in ("V", "W"))
 
 
 def _capacity_first_fails_the_rule(specs):
-    """Whether the first packable subset's capacity lex-min placement leaves an item without an offset."""
+    """Whether the first packable subset's first placement within capacity leaves an item without an offset."""
     t_lcm = hyperperiod(specs)
     first = min(
         tuple(int(i in bins) for i in range(len(specs)))
         for bins in combinations(range(len(specs)), oracle_min_bins_multifreq(specs))
         if multifreq_subset_feasible(specs, bins, t_lcm)
     )
-    return not lowest_offsets_realize(specs, *lex_min_placement(specs, first, t_lcm), t_lcm)
+    return not lowest_offsets_realize(specs, *next(rule_order_placements(specs, first, t_lcm)), t_lcm)
 
 
 def test_solver_matches_the_oracle_where_capacity_alone_misleads():
@@ -611,6 +637,13 @@ def equal_period_fleets(draw):
 def test_equal_period_phases_match_the_frozen_samefreq_realizer(loads):
     specs = [spec(i, period, w, p) for i, period, w, p in loads]
     ref_specs = [ref_waveform.PulseSpec(i, 10, period, w, p) for i, period, w, p in loads]
-    realized = realize_phases_multifreq(specs, solve_multifreq(specs))
-    expected = ref_samefreq.realize_phases_samefreq(ref_specs, ref_samefreq.solve_samefreq(ref_specs))
+    a = solve_multifreq(specs)
+    frozen = ref_samefreq.solve_samefreq(ref_specs)
+    assert a.bin_flags == frozen.bin_flags
+    assert a.placement == oracle_placement(specs)
+    realized = realize_phases_multifreq(specs, a)
+    assert_bins_at_unit_level(specs, a, realized)
+    # the frozen realizer stacks the same item->bin map to the same phases
+    same_bins = replace(frozen, placement=bins_of(a))
+    expected = ref_samefreq.realize_phases_samefreq(ref_specs, same_bins)
     assert [s.phase for s in realized] == [s.phase for s in expected]

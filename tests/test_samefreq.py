@@ -16,6 +16,7 @@ from pulsesched import (
     InvalidAssignmentError,
     PulseSpec,
     aggregate_profile,
+    load_sort_key,
     multifreq,
     realize_phases_multifreq,
     solve_multifreq,
@@ -98,9 +99,13 @@ class TestSolve:
                     flag_vectors.append(tuple(1 if i in bins else 0 for i in range(n)))
             assert a.bin_flags == min(flag_vectors)
 
-            # smallest placement vector among all feasible mappings for it
+            # smallest placement vector among all feasible mappings for it,
+            # over the items in the rule's order: by descending width, ties by id
             bins = [i for i, f in enumerate(a.bin_flags) if f]
-            items = [i for i, f in enumerate(a.bin_flags) if not f]
+            items = sorted(
+                (i for i, f in enumerate(a.bin_flags) if not f),
+                key=lambda j: (-specs[j].on_width, load_sort_key(specs[j].id)),
+            )
             best = None
             for mapping in product(bins, repeat=len(items)):
                 room = {b: specs[b].off_width for b in bins}
