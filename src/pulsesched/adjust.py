@@ -18,7 +18,7 @@ from .errors import (
     ZeroDutyError,
 )
 from .ticks import as_fraction
-from .waveform import PulseSpec, mean_power
+from .waveform import PulseSpec, _mean_powers
 
 
 @dataclass(frozen=True)
@@ -109,5 +109,6 @@ def scale_duties_to_limit(specs: list[PulseSpec], p_max, p_sum) -> list[PulseSpe
 
 
 def total_mean_power(specs: list[PulseSpec]) -> Fraction:
-    """Sum of per-load mean powers."""
-    return sum((mean_power(s) for s in specs), Fraction(0))
+    """Sum of per-load mean powers, added as integers over one denominator."""
+    powers, den = _mean_powers(specs)
+    return Fraction(sum(powers), den)

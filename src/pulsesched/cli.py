@@ -16,8 +16,9 @@ files.MAX_DIGITS digits, and JSON nested too deeply to parse included), 4
 missing soc/voltage fields in plan-power, 3 any other scheduling error or
 ValueError: an infeasible power plan, a duty de-rating whose scaled
 on-widths fall off the tick grid, a hyperperiod beyond the tick range, a
-waveform sweep above its edge budget, an admission whose common denominator
-passes power.MAX_DENOMINATOR_BITS, and an OSError while creating `--out`,
+waveform sweep above its edge budget, a common denominator of the loads'
+amplitudes (in the sweep) or SOCs or mean powers (in admission) that passes
+waveform.MAX_DENOMINATOR_BITS, and an OSError while creating `--out`,
 writing a report or printing, whose line names the path or `stdout`, as does
 a stdout whose encoding cannot encode the lines. Each
 failure prints one `error:` line to stderr. `schedule` schedules every

@@ -8,7 +8,6 @@ lands exactly on the cap.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -19,18 +18,11 @@ from .errors import (
     MissingVoltageError,
     NoAdmissibleError,
     NotOverLimitError,
-    WorkBudgetError,
 )
-from .ticks import MAX_DIGITS, as_fraction
-from .waveform import LoadId, PulseSpec, load_sort_key, mean_power
+from .ticks import as_fraction
+from .waveform import LoadId, PulseSpec, _common_denominator, _mean_powers, load_sort_key, mean_power
 
 MODES = ("amplitude", "duty")
-
-# Work budget of admission's common denominators (of the SOCs, and of the mean
-# powers), in bits: those of a number of 10 * MAX_DIGITS decimal digits. Each
-# is the lcm of the loads' distinct denominators, which can grow with their
-# product: 1000 distinct 1000-digit denominators took 23 s in one lcm.
-MAX_DENOMINATOR_BITS = (10 ** (10 * MAX_DIGITS)).bit_length()
 
 
 @dataclass(frozen=True)
@@ -50,18 +42,6 @@ class PowerPlan:
     p_max_w: Fraction
 
 
-def _common_denominator(dens, what: str) -> int:
-    """The lcm of `dens`, one distinct denominator at a time, within MAX_DENOMINATOR_BITS."""
-    den = 1
-    for d in set(dens):
-        den = math.lcm(den, d)
-        if den.bit_length() > MAX_DENOMINATOR_BITS:  # every later step keeps it there
-            raise WorkBudgetError(
-                f"a common denominator of the loads' {what} passes {MAX_DENOMINATOR_BITS} bits"
-            )
-    return den
-
-
 def _soc_order(specs: list[PulseSpec]) -> list[PulseSpec]:
     """The loads by ascending SOC, ties by id; SOCs compare as integers over one denominator."""
     for s in specs:
@@ -73,20 +53,6 @@ def _soc_order(specs: list[PulseSpec]) -> list[PulseSpec]:
     return sorted(
         specs, key=lambda s: (s.soc.numerator * (den // s.soc.denominator), load_sort_key(s.id))
     )
-
-
-def _mean_powers(specs: list[PulseSpec]) -> tuple[list[int], int]:
-    """Each load's mean power, duty × voltage × amplitude, as an integer over one denominator."""
-    for s in specs:
-        if s.voltage is None:
-            raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
-    dens = [s.period * s.voltage.denominator * s.amplitude.denominator for s in specs]
-    den = _common_denominator(dens, "mean powers")
-    powers = [
-        s.on_width * s.voltage.numerator * s.amplitude.numerator * (den // d)
-        for s, d in zip(specs, dens)
-    ]
-    return powers, den
 
 
 def _fitting_prefix(powers: list[int], den: int, cap: Fraction) -> tuple[int, int]:

@@ -18,13 +18,19 @@ from itertools import accumulate, compress, repeat
 from typing import Union
 
 from .errors import EmptyInputError, MissingVoltageError, TickOverflowError, WorkBudgetError
-from .ticks import MAX_TICK, TICKS_PER_SECOND, as_fraction, ticks_from_seconds
+from .ticks import MAX_DIGITS, MAX_TICK, TICKS_PER_SECOND, as_fraction, ticks_from_seconds
 
 LoadId = Union[int, str]
 
 # Work budget of one event sweep, in edges (rising plus falling) visited. It
 # bounds time, not memory: a 2,000,020-edge sweep grew the process by 218 MiB.
 MAX_EDGES = 10**7
+
+# Work budget of a common denominator of the loads' amplitudes, SOCs or mean
+# powers, in bits: those of a number of 10 * MAX_DIGITS decimal digits. Each is
+# the lcm of the loads' distinct denominators, which can grow with their
+# product: 1000 distinct 1000-digit denominators took 23 s in one lcm.
+MAX_DENOMINATOR_BITS = (10 ** (10 * MAX_DIGITS)).bit_length()
 
 
 def load_sort_key(load_id: LoadId) -> tuple:
@@ -205,6 +211,32 @@ def mean_power(spec: PulseSpec) -> Fraction:
     return spec.duty * spec.voltage * spec.amplitude
 
 
+def _common_denominator(dens, what: str) -> int:
+    """The lcm of `dens`, one distinct denominator at a time, within MAX_DENOMINATOR_BITS."""
+    den = 1
+    for d in set(dens):
+        den = math.lcm(den, d)
+        if den.bit_length() > MAX_DENOMINATOR_BITS:  # every later step keeps it there
+            raise WorkBudgetError(
+                f"a common denominator of the loads' {what} passes {MAX_DENOMINATOR_BITS} bits"
+            )
+    return den
+
+
+def _mean_powers(specs: list[PulseSpec]) -> tuple[list[int], int]:
+    """Each load's mean power, duty × voltage × amplitude, as an integer over one denominator."""
+    for s in specs:
+        if s.voltage is None:
+            raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
+    dens = [s.period * s.voltage.denominator * s.amplitude.denominator for s in specs]
+    den = _common_denominator(dens, "mean powers")
+    powers = [
+        s.on_width * s.voltage.numerator * s.amplitude.numerator * (den // d)
+        for s, d in zip(specs, dens)
+    ]
+    return powers, den
+
+
 def hyperperiod(specs: list[PulseSpec]) -> int:
     """Least common multiple of all periods, in ticks."""
     if not specs:
@@ -219,7 +251,8 @@ def aggregate_profile(specs: list[PulseSpec]) -> StepProfile:
     denominators, collects every rising/falling edge as a signed integer
     delta, sweeps them in time order, and merges segments whose deltas
     cancel (a fall coinciding with a rise produces no breakpoint). The
-    edge count is checked against MAX_EDGES before anything is allocated.
+    edge count is checked against MAX_EDGES, and the LCM against
+    MAX_DENOMINATOR_BITS, before anything is allocated.
     """
     if not specs:
         raise EmptyInputError("aggregate of no loads")
@@ -232,17 +265,13 @@ def aggregate_profile(specs: list[PulseSpec]) -> StepProfile:
             f"a sweep over hyperperiod {t_lcm} visits {edges} edges, above the budget of {MAX_EDGES}"
         )
 
-    den = math.lcm(*(s.amplitude.denominator for s in specs))
-    base = 0  # always-on loads contribute a constant floor
+    den = _common_denominator([s.amplitude.denominator for s in specs], "amplitudes")
     deltas: dict[int, int] = {}
     get = deltas.get
-    gated: list[tuple[PulseSpec, int]] = []
     for s in specs:
-        amp = s.amplitude.numerator * (den // s.amplitude.denominator)
-        if s.always_on:
-            base += amp
+        if s.always_on:  # a constant floor: no edges, but on at every tick
             continue
-        gated.append((s, amp))
+        amp = s.amplitude.numerator * (den // s.amplitude.denominator)
         # the falls of one load are its rises shifted by on_width, modulo t_lcm
         for t in range(s.phase, t_lcm, s.period):
             deltas[t] = get(t, 0) + amp
@@ -252,9 +281,11 @@ def aggregate_profile(specs: list[PulseSpec]) -> StepProfile:
     # ticks whose deltas cancel to 0 are no breakpoints
     times = sorted(compress(deltas, deltas.values()))
     first = times[0] if times else 0
-    level = base + sum(amp for s, amp in gated if s.active_at(first))
+    level = sum(
+        s.amplitude.numerator * (den // s.amplitude.denominator) for s in specs if s.active_at(first)
+    )
     if not times:
-        # every rise cancels a fall: the gated loads add a constant level too
+        # every rise cancels a fall: a constant profile
         return StepProfile._checked(t_lcm, (0,), (level,), den)
     scaled = tuple(accumulate(map(deltas.__getitem__, times[1:]), initial=level))
     return StepProfile._checked(t_lcm, tuple(times), scaled, den)

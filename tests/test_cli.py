@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, artifacts, determinism, round-trips."""
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -306,6 +307,42 @@ class TestErrorContract:
         metrics = json.loads((tmp_path / "edge.metrics.json").read_text())
         assert metrics["max_a"] == str(2 * Fraction(raw))
 
+    @staticmethod
+    def thousand_digit_amplitudes(tmp_path, n: int) -> tuple[Path, int]:
+        """A scenario of n equal-period loads whose amplitudes are 1/(10**999 + k), k = 1..n,
+        each denominator of 1000 digits, within files.MAX_DIGITS; and their lcm's bit count."""
+        dens = [10**999 + k for k in range(1, n + 1)]
+        loads = [
+            {"id": k, "amplitude_a": f"1/{d}", "frequency_hz": 1, "duty_pct": 50, "phase_s": 0}
+            for k, d in enumerate(dens, 1)
+        ]
+        sc = tmp_path / f"amps{n}.json"
+        sc.write_text(json.dumps({"loads": loads}))
+        return sc, math.lcm(*dens).bit_length()
+
+    @pytest.mark.parametrize("command", ["simulate", "schedule"])
+    def test_amplitudes_past_the_denominator_budget_exit_3_at_once(self, tmp_path, capsys, command):
+        sc, bits = self.thousand_digit_amplitudes(tmp_path, 11)
+        assert bits == 36490
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run([command, sc, "--out", out]) == 3
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: a common denominator of the loads' amplitudes passes "
+            f"{pulsesched.waveform.MAX_DENOMINATOR_BITS} bits\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "schedule"])
+    def test_amplitudes_within_the_denominator_budget_run(self, tmp_path, capsys, command):
+        sc, bits = self.thousand_digit_amplitudes(tmp_path, 10)
+        assert bits == 33173 <= pulsesched.waveform.MAX_DENOMINATOR_BITS
+        assert run([command, sc, "--out", tmp_path]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_deeply_nested_json_exits_2_without_traceback(self, tmp_path, capsys):
         sc = tmp_path / "deep.json"
         sc.write_text('{"loads": ' + "[" * 100_000 + "]" * 100_000 + "}")
@@ -456,7 +493,7 @@ class TestPlanPower:
         assert run(["plan-power", sc, "--out", out]) == 3
         captured = capsys.readouterr()
         assert captured.err == (
-            f"error: a common denominator of the loads' SOCs passes {pulsesched.power.MAX_DENOMINATOR_BITS} bits\n"
+            f"error: a common denominator of the loads' SOCs passes {pulsesched.waveform.MAX_DENOMINATOR_BITS} bits\n"
         )
         assert captured.out == ""
         assert not out.exists()

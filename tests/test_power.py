@@ -22,7 +22,7 @@ from pulsesched import (
     mean_power,
     prioritize_and_admit,
 )
-from pulsesched import adjust, power
+from pulsesched import power, waveform
 from pulsesched.adjust import total_mean_power
 
 
@@ -105,7 +105,6 @@ class TestPrioritizeAndAdmit:
             return mean_power(spec)
 
         monkeypatch.setattr(power, "mean_power", counted)
-        monkeypatch.setattr(adjust, "mean_power", counted)
         specs = [load(1, 20), load(2, 50), load(3, 80)]
         plan = prioritize_and_admit(specs, cap, derate=derate)
         assert len(calls) <= len(specs)
@@ -312,7 +311,7 @@ def test_admission_backfill_and_derating_match_the_reference(fleet, cap, grown_c
 
 
 class TestDenominatorBudget:
-    """Admission's common denominators stay within power.MAX_DENOMINATOR_BITS or raise
+    """Admission's common denominators stay within waveform.MAX_DENOMINATOR_BITS or raise
     WorkBudgetError; a fleet at the bound is planned as before."""
 
     @staticmethod
@@ -328,7 +327,7 @@ class TestDenominatorBudget:
     @pytest.mark.parametrize("field", ["soc", "amplitude"])
     @pytest.mark.parametrize("derate", [False, True])
     def test_at_the_bound_the_plan_is_made(self, field, derate):
-        specs = self.fleet(field, power.MAX_DENOMINATOR_BITS)
+        specs = self.fleet(field, waveform.MAX_DENOMINATOR_BITS)
         cap = 10**6  # above the total, so the plan admits both loads and de-rates nothing
         plan = prioritize_and_admit(specs, cap, derate=derate)
         assert plan.admitted == ((1, 0) if field == "soc" else (0, 1))
@@ -337,14 +336,22 @@ class TestDenominatorBudget:
     @pytest.mark.parametrize("field, what", [("soc", "SOCs"), ("amplitude", "mean powers")])
     @pytest.mark.parametrize("derate", [False, True])
     def test_one_bit_past_it_raises_a_work_budget_error(self, field, what, derate):
-        specs = self.fleet(field, power.MAX_DENOMINATOR_BITS + 1)
-        message = f"common denominator of the loads' {what} passes {power.MAX_DENOMINATOR_BITS} bits"
+        specs = self.fleet(field, waveform.MAX_DENOMINATOR_BITS + 1)
+        message = f"common denominator of the loads' {what} passes {waveform.MAX_DENOMINATOR_BITS} bits"
         with pytest.raises(WorkBudgetError, match=re.escape(message)):
             prioritize_and_admit(specs, 10**6, derate=derate)
 
     def test_backfill_shares_the_budget(self):
-        specs = [*self.fleet("amplitude", power.MAX_DENOMINATOR_BITS + 1), load(9, 0, power_w=400)]
+        specs = [*self.fleet("amplitude", waveform.MAX_DENOMINATOR_BITS + 1), load(9, 0, power_w=400)]
         plan = prioritize_and_admit([specs[2]], 400)
         plan = replace(plan, postponed=(0, 1))
         with pytest.raises(WorkBudgetError):
             backfill(plan, specs, 10**6)
+
+    def test_total_mean_power_shares_the_budget(self):
+        bits = waveform.MAX_DENOMINATOR_BITS
+        small, big = self.fleet("amplitude", bits)  # always on at 1 V: mean power = amplitude
+        assert total_mean_power([small, big]) == small.amplitude + big.amplitude
+        message = f"common denominator of the loads' mean powers passes {bits} bits"
+        with pytest.raises(WorkBudgetError, match=re.escape(message)):
+            total_mean_power(self.fleet("amplitude", bits + 1))

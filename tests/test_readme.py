@@ -1,6 +1,7 @@
 """The README's examples run and print what the README shows."""
 import argparse
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -42,3 +43,13 @@ def test_library_snippet_runs():
     with contextlib.redirect_stdout(stdout):
         exec(compile(snippet, "README.md", "exec"), {})
     assert stdout.getvalue().startswith("Metrics(")
+
+
+def test_named_constants_have_the_values_shown():
+    """Every `module.NAME` = value in the README names a constant of that value, so a
+    constant that moves or changes cannot leave a stale name or number behind."""
+    shown = re.findall(r"`(\w+)\.([A-Z][A-Z_]*)` =\s+(\d+)(?:\^(\d+))?", README)
+    assert len(shown) >= 4
+    for module, name, base, exponent in shown:
+        value = getattr(importlib.import_module(f"pulsesched.{module}"), name)
+        assert value == int(base) ** int(exponent or 1), f"{module}.{name}"

@@ -1,5 +1,6 @@
 """Pulse-train representation, aggregation sweep, and envelope metrics."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,26 @@ class TestWorkBudget:
         assert aggregate_profile(fleet).hyperperiod == 12
         monkeypatch.setattr(waveform, "MAX_EDGES", 9)
         with pytest.raises(WorkBudgetError):
+            aggregate_profile(fleet)
+
+    @staticmethod
+    def fleet(bits: int, big_width: int) -> list[PulseSpec]:
+        """Two loads whose amplitude denominators, 3 and a power of two, have an lcm of `bits` bits;
+        the second is always on when `big_width` is its period, 6."""
+        return [spec("a", Fraction(1, 3), 4, 2), spec("b", Fraction(1, 2 ** (bits - 2)), 6, big_width)]
+
+    @pytest.mark.parametrize("big_width", [3, 6], ids=["gated", "always-on"])
+    def test_amplitudes_at_the_denominator_budget_are_swept(self, big_width):
+        fleet = self.fleet(waveform.MAX_DENOMINATOR_BITS, big_width)
+        prof = aggregate_profile(fleet)
+        assert prof.denominator.bit_length() == waveform.MAX_DENOMINATOR_BITS
+        assert [prof.level_at(t) for t in range(12)] == [level_at_tick(fleet, t) for t in range(12)]
+
+    @pytest.mark.parametrize("big_width", [3, 6], ids=["gated", "always-on"])
+    def test_amplitudes_one_bit_past_it_are_refused(self, big_width):
+        fleet = self.fleet(waveform.MAX_DENOMINATOR_BITS + 1, big_width)
+        message = f"a common denominator of the loads' amplitudes passes {waveform.MAX_DENOMINATOR_BITS} bits"
+        with pytest.raises(WorkBudgetError, match=re.escape(message)):
             aggregate_profile(fleet)
 
 
