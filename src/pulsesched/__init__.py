@@ -27,7 +27,7 @@ from .errors import (
     WorkBudgetError,
     ZeroDutyError,
 )
-from .grouping import Group, GroupPlan, partition_by_frequency, schedule_fleet
+from .grouping import Group, partition_by_frequency, schedule_fleet
 from .multifreq import (
     AssignmentMultiFreq,
     check_groupability,
@@ -54,7 +54,6 @@ __all__ = [
     "AssignmentMultiFreq",
     "EmptyInputError",
     "Group",
-    "GroupPlan",
     "InvalidAssignmentError",
     "MAX_TICK",
     "Metrics",

@@ -11,16 +11,17 @@ reports (a report it had replaced is gone as well) and no other file in
 `--out` is touched.
 
 Exit codes: 0 success, 2 scenario validation failure (a quantity's decimal
-exponent beyond ±files.MAX_EXPONENT, a mantissa or "p/q" side of more than
-files.MAX_DIGITS digits, and JSON nested too deeply to parse included), 4
+exponent beyond ±ticks.MAX_EXPONENT, a mantissa or "p/q" side of more than
+ticks.MAX_DIGITS digits, and JSON nested too deeply to parse included), 4
 missing soc/voltage fields in plan-power, 3 any other scheduling error or
 ValueError: an infeasible power plan, a duty de-rating whose scaled
 on-widths fall off the tick grid, a hyperperiod beyond the tick range, a
 waveform sweep above its edge budget, a common denominator of the loads'
 amplitudes (in the sweep) or SOCs or mean powers (in admission) that passes
-waveform.MAX_DENOMINATOR_BITS, and an OSError while creating `--out`,
-writing a report or printing, whose line names the path or `stdout`, as does
-a stdout whose encoding cannot encode the lines. Each
+waveform.MAX_DENOMINATOR_BITS, a waveform CSV level whose numerator or
+denominator passes sys.get_int_max_str_digits(), and an OSError while
+creating `--out`, writing a report or printing, whose line names the path or
+`stdout`, as does a stdout whose encoding cannot encode the lines. Each
 failure prints one `error:` line to stderr. `schedule` schedules every
 group, so its `--allow-partial` is accepted and ignored.
 """
@@ -35,10 +36,10 @@ from pathlib import Path
 from . import files
 from .errors import MissingSocError, MissingVoltageError, PulseSchedError, ScenarioError
 from .files import Scenario, amount_str, load_scenario, write_text_atomic
-from .grouping import GroupPlan, schedule_fleet
+from .grouping import schedule_fleet
 from .power import MODES, enforce_limit, prioritize_and_admit
 from .ticks import seconds_str
-from .waveform import Metrics, PulseSpec, aggregate_profile, profile_metrics
+from .waveform import Metrics, aggregate_profile, profile_metrics
 
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
@@ -71,31 +72,18 @@ def cmd_simulate(args, scenario: Scenario) -> tuple:
     return lines, {"metrics.json": files.metrics_json(metrics)}, profile
 
 
-def _schedule_rows(fleet: list[PulseSpec], plan: GroupPlan) -> list[dict]:
-    place = {
-        load_id: (group.index, "bin" if is_bin else "item")
-        for group in plan.groups
-        for load_id, is_bin in zip(group.member_ids, group.assignment.bin_flags)
-    }
-    return [
-        {"id": s.id, "group": place[s.id][0], "role": place[s.id][1], "phase_s": seconds_str(s.phase)}
-        for s in fleet
-    ]
-
-
 def cmd_schedule(args, scenario: Scenario) -> tuple:
     before = profile_metrics(aggregate_profile(scenario.loads))
-    fleet, plan = schedule_fleet(scenario.loads)
+    fleet, groups = schedule_fleet(scenario.loads)
     after_profile = aggregate_profile(fleet)
     after = profile_metrics(after_profile)
-    bins_total = sum(g.assignment.bins_used for g in plan.groups)
     lines = [
-        f"groups: {len(plan.groups)}, bin-type loads: {bins_total}",
+        f"groups: {len(groups)}, bin-type loads: {sum(g.assignment.bins_used for g in groups)}",
         _metrics_line("before", before),
         _metrics_line("after", after),
     ]
     reports = {
-        "schedule.json": files.schedule_json(_schedule_rows(fleet, plan)),
+        "schedule.json": files.schedule_json(fleet, groups),
         "scheduled.json": files.scenario_json(fleet, scenario.p_max_w, scenario.power_mode),
         "metrics_before.json": files.metrics_json(before),
         "metrics_after.json": files.metrics_json(after),

@@ -27,15 +27,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import ScenarioError
+from .errors import ScenarioError, WorkBudgetError
+from .grouping import Group
 from .power import MODES
-from .ticks import MAX_DIGITS, MAX_EXPONENT  # noqa: F401  the bounds of a scenario's quantities
 from .ticks import TICKS_PER_SECOND, parse_ratio, seconds_str, seconds_strs
 from .waveform import Metrics, PulseSpec, StepProfile, load_sort_key
 
@@ -406,17 +407,16 @@ def scenario_json(
     return _loads_json(rows, ',\n  "power": ' + _flat(power, 1))
 
 
-def schedule_json(rows: list[dict]) -> str:
-    """Schedule report: per-load id, group, role, phase_s (already ordered).
-
-    A row's group is an int, and its role ("bin" or "item") and phase_s
-    (seconds) are texts that JSON needs no escape for.
-    """
+def schedule_json(fleet: list[PulseSpec], groups: tuple[Group, ...]) -> str:
+    """Schedule report of `schedule_fleet`'s result: per load of `fleet`, in its order, its id,
+    group number (the group's position in `groups`, plus one), role and phase_s."""
+    place = {
+        load_id: (number, "bin" if is_bin else "item")
+        for number, group in enumerate(groups, 1)
+        for load_id, is_bin in zip(group.member_ids, group.assignment.bin_flags)
+    }
     return _loads_json(
-        [
-            _SCHEDULE_ROW % (row["group"], _id_json(row["id"]), row["phase_s"], row["role"])
-            for row in rows
-        ]
+        [_SCHEDULE_ROW % (place[s.id][0], _id_json(s.id), seconds_str(s.phase), place[s.id][1]) for s in fleet]
     )
 
 
@@ -430,14 +430,21 @@ def plan_json(plan) -> str:
 
 
 def waveform_csv(profile: StepProfile) -> str:
-    """One row per breakpoint: time in seconds and the level starting there."""
+    """One row per breakpoint: time in seconds and the level starting there; a level whose
+    numerator or denominator passes sys.get_int_max_str_digits() is a WorkBudgetError."""
     den = profile.denominator
     levels = sorted(set(profile.scaled))  # each distinct level rendered once
     if TICKS_PER_SECOND % den or levels[0] < 0:  # "p/q" levels; seconds_strs takes no sign
         texts = map(_ratio_str, levels, repeat(den))
     else:  # every level is a whole number of millionths, so its text is a seconds text
         texts = seconds_strs([v * (TICKS_PER_SECOND // den) for v in levels])
-    text_of = dict(zip(levels, map(",%s\n".__mod__, texts)))
+    try:
+        text_of = dict(zip(levels, map(",%s\n".__mod__, texts)))
+    except ValueError as exc:  # str() of an int past the limit, the only ValueError here
+        raise WorkBudgetError(
+            "the waveform CSV cannot print a level whose numerator or denominator has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
     # one join: the header, then each row as its time and its level
     pieces = ["t_s,i_total_a\n", *repeat(None, 2 * len(profile.scaled))]
     pieces[1::2] = seconds_strs(profile.breakpoints)

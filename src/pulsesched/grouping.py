@@ -6,7 +6,8 @@ of the anchor's (equivalently, whose frequency divides the anchor's). Every
 group of two or more loads is solved by the one hyperperiod solver, whose
 solution always realizes (a one-period group goes through the same solver
 under the names that the benchmark's tracer wraps); a singleton is its own
-bin and keeps its phase.
+bin and keeps its phase. A group is numbered by its position in the
+returned tuple, plus one.
 """
 from __future__ import annotations
 
@@ -24,24 +25,16 @@ realize_phases_samefreq = realize_phases_multifreq
 
 @dataclass(frozen=True)
 class Group:
-    """One schedulable group: 1-based creation index, anchor, members in input order.
+    """One schedulable group, numbered by its position among the groups plus one: anchor,
+    members in input order, and the assignment once `schedule_fleet` solves it (else None)."""
 
-    `assignment` is None until `schedule_fleet` solves the group.
-    """
-
-    index: int
     anchor_id: LoadId
     member_ids: tuple[LoadId, ...]
     assignment: AssignmentMultiFreq | None = None
 
 
-@dataclass(frozen=True)
-class GroupPlan:
-    groups: tuple[Group, ...]
-
-
-def partition_by_frequency(specs: list[PulseSpec]) -> GroupPlan:
-    """Greedy partition anchored at the highest remaining frequency.
+def partition_by_frequency(specs: list[PulseSpec]) -> tuple[Group, ...]:
+    """Greedy partition anchored at the highest remaining frequency, in creation order.
 
     Ties on frequency break by ascending id. Every load lands in exactly one
     group; within a group every period is an integer multiple of the anchor's.
@@ -56,30 +49,23 @@ def partition_by_frequency(specs: list[PulseSpec]) -> GroupPlan:
     while remaining:
         anchor = min(remaining, key=lambda i: (specs[i].period, load_sort_key(specs[i].id)))
         members = [i for i in remaining if specs[i].period % specs[anchor].period == 0]
-        groups.append(
-            Group(
-                index=len(groups) + 1,
-                anchor_id=specs[anchor].id,
-                member_ids=tuple(specs[i].id for i in members),
-            )
-        )
+        groups.append(Group(specs[anchor].id, tuple(specs[i].id for i in members)))
         taken = set(members)
         remaining = [i for i in remaining if i not in taken]
-    return GroupPlan(groups=tuple(groups))
+    return tuple(groups)
 
 
-def schedule_fleet(specs: list[PulseSpec]) -> tuple[list[PulseSpec], GroupPlan]:
+def schedule_fleet(specs: list[PulseSpec]) -> tuple[list[PulseSpec], tuple[Group, ...]]:
     """Partition, solve, and realize the whole fleet.
 
-    Returns the realized specs sorted by load id plus the plan with every
-    group's assignment; a singleton group's is AssignmentMultiFreq((None,)).
+    Returns the realized specs sorted by load id plus the groups, in partition
+    order, each with its assignment; a singleton's is AssignmentMultiFreq((None,)).
     """
-    plan = partition_by_frequency(specs)
     by_id = {s.id: s for s in specs}
     fleet: list[PulseSpec] = []
     solved: list[Group] = []
 
-    for group in plan.groups:
+    for group in partition_by_frequency(specs):
         members = [by_id[i] for i in group.member_ids]
         if len(members) == 1:
             assignment = AssignmentMultiFreq(placement=(None,))
@@ -93,4 +79,4 @@ def schedule_fleet(specs: list[PulseSpec]) -> tuple[list[PulseSpec], GroupPlan]:
         solved.append(replace(group, assignment=assignment))
 
     fleet.sort(key=lambda s: load_sort_key(s.id))
-    return fleet, GroupPlan(groups=tuple(solved))
+    return fleet, tuple(solved)

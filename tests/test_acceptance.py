@@ -122,17 +122,16 @@ def test_criterion_5_solver_optimality_scenario1():
 def test_criterion_6_solver_behavior_scenario2():
     with criterion(6, "scenario-2 grouping: 5 bins, constant 50 A"):
         loads = load_scenario(SCENARIOS / "scenario2_random.json").loads
-        plan = partition_by_frequency(loads)
         by_id = {s.id: s for s in loads}
         freq_sets = [
             sorted((by_id[m].frequency_hz for m in g.member_ids), reverse=True)
-            for g in plan.groups
+            for g in partition_by_frequency(loads)
         ]
         assert freq_sets == [[8, 8, 4, 4, 2, 2, 1, 1], [5, 5]]
 
-        fleet, solved = schedule_fleet(loads)
-        bins_total = sum(g.assignment.bins_used if g.assignment else 1 for g in solved.groups)
-        assert bins_total == 5
+        fleet, groups = schedule_fleet(loads)
+        assert all(g.assignment is not None for g in groups)
+        assert sum(g.assignment.bins_used for g in groups) == 5
 
         m = profile_metrics(aggregate_profile(fleet))
         assert m.fluctuation_a == 0

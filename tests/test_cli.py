@@ -13,7 +13,7 @@ from xml.dom import minidom
 import pytest
 
 import pulsesched
-from pulsesched import WorkBudgetError, cli, files
+from pulsesched import WorkBudgetError, cli, ticks
 from pulsesched.cli import main
 
 SCENARIOS = Path(pulsesched.__file__).parent / "scenarios"
@@ -289,7 +289,7 @@ class TestErrorContract:
         assert err.startswith("error: ") and "digits" in err and err.count("\n") == 1
 
     def test_amplitude_at_both_bounds_simulates(self, tmp_path, capsys):
-        raw = "9" * files.MAX_DIGITS + f"e{files.MAX_EXPONENT}"
+        raw = "9" * ticks.MAX_DIGITS + f"e{ticks.MAX_EXPONENT}"
         sc = tmp_path / "edge.json"
         sc.write_text(
             json.dumps(
@@ -310,7 +310,7 @@ class TestErrorContract:
     @staticmethod
     def thousand_digit_amplitudes(tmp_path, n: int) -> tuple[Path, int]:
         """A scenario of n equal-period loads whose amplitudes are 1/(10**999 + k), k = 1..n,
-        each denominator of 1000 digits, within files.MAX_DIGITS; and their lcm's bit count."""
+        each denominator of 1000 digits, within ticks.MAX_DIGITS; and their lcm's bit count."""
         dens = [10**999 + k for k in range(1, n + 1)]
         loads = [
             {"id": k, "amplitude_a": f"1/{d}", "frequency_hz": 1, "duty_pct": 50, "phase_s": 0}
@@ -342,6 +342,45 @@ class TestErrorContract:
         assert bits == 33173 <= pulsesched.waveform.MAX_DENOMINATOR_BITS
         assert run([command, sc, "--out", tmp_path]) == 0
         assert capsys.readouterr().err == ""
+
+    @staticmethod
+    def csv_digit_limit_error() -> str:
+        return (
+            "error: the waveform CSV cannot print a level whose numerator or denominator has more than "
+            f"{sys.get_int_max_str_digits()} digits\n"
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "schedule"])
+    def test_csv_level_past_the_digit_limit_exits_3(self, tmp_path, capsys, command):
+        """Ten loads of 1-50 Hz with amplitudes 1/(10**999 + k), within the denominator budget:
+        their summed levels are ratios of up to 10^4 digits, which str() of an int refuses."""
+        loads = [
+            {"id": k, "amplitude_a": f"1/{10**999 + k}", "frequency_hz": f, "duty_pct": 50, "phase_s": 0}
+            for k, f in enumerate((1, 2, 4, 5, 8, 10, 20, 25, 40, 50), 1)
+        ]
+        sc = tmp_path / "levels.json"
+        sc.write_text(json.dumps({"loads": loads}))
+        out = tmp_path / "out"
+        assert run([command, sc, "--out", out, "--csv"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == self.csv_digit_limit_error()
+        assert captured.out == ""
+        assert list(out.iterdir()) == []  # the reports written before the CSV are removed
+
+    @pytest.mark.parametrize("n, written", [(4, True), (5, False)])
+    def test_csv_refuses_only_a_level_past_the_digit_limit(self, tmp_path, capsys, n, written):
+        """One period, all loads on together: the top level's denominator has 3996 digits
+        for 4 loads, within the limit of 4300, and 4994 for 5, past it."""
+        sc, _ = self.thousand_digit_amplitudes(tmp_path, n)
+        assert sys.get_int_max_str_digits() == 4300
+        assert run(["simulate", sc, "--out", tmp_path, "--csv"]) == (0 if written else 3)
+        assert capsys.readouterr().err == ("" if written else self.csv_digit_limit_error())
+        csv = tmp_path / f"amps{n}.waveform.csv"
+        assert csv.exists() == written
+        if written:
+            top = Fraction(csv.read_text().splitlines()[1].split(",")[1])
+            assert top == sum(Fraction(1, 10**999 + k) for k in range(1, n + 1))
+            assert len(str(top.denominator)) == 3996
 
     def test_deeply_nested_json_exits_2_without_traceback(self, tmp_path, capsys):
         sc = tmp_path / "deep.json"

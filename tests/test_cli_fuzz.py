@@ -18,7 +18,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from pulsesched.cli import main
-from pulsesched.files import MAX_DIGITS, MAX_EXPONENT
+from pulsesched.ticks import MAX_DIGITS, MAX_EXPONENT
 
 PERIODS = (1, 2, 3, 4, 5, 6, 10, 12, 20)  # ticks
 LOAD_KEYS = ("id", "amplitude_a", "frequency_hz", "duty_pct", "phase_s", "voltage_v", "soc_pct")
@@ -37,7 +37,7 @@ def quantity(value: Fraction):
     return st.just(f"{value.numerator}/{value.denominator}")
 
 
-# valid quantities at the bounds of files.MAX_DIGITS and files.MAX_EXPONENT
+# valid quantities at the bounds of ticks.MAX_DIGITS and ticks.MAX_EXPONENT
 EXTREME = st.sampled_from(
     (
         "9" * MAX_DIGITS + f"e{MAX_EXPONENT}",

@@ -32,11 +32,11 @@ from pulsesched import (
     enforce_limit,
     load_sort_key,
     prioritize_and_admit,
+    schedule_fleet,
     seconds_str,
     ticks,
 )
 from pulsesched.files import (
-    MAX_DIGITS,
     amount_str,
     exact_str,
     load_scenario,
@@ -49,6 +49,7 @@ from pulsesched.files import (
     write_text_atomic,
 )
 from pulsesched.power import MODES
+from pulsesched.ticks import MAX_DIGITS
 
 import pulsesched
 
@@ -773,6 +774,33 @@ def scenario_doc(loads: list[PulseSpec], p_max_w, mode) -> dict:
     return doc
 
 
+# tick periods scaled to 0.5-10 s: nested chains, one-period groups and
+# singletons, each solved in a few search nodes
+SCHEDULE_PERIODS = tuple(250_000 * k for k in (2, 3, 4, 6, 12, 40))
+
+
+@st.composite
+def schedule_specs(draw) -> list[PulseSpec]:
+    specs = []
+    for load_id in draw(st.lists(LOAD_IDS, min_size=1, max_size=6, unique=True)):
+        period = draw(st.sampled_from(SCHEDULE_PERIODS))
+        on_width = draw(st.integers(1, period))
+        specs.append(PulseSpec(load_id, 1, period, on_width, draw(st.integers(0, period - 1))))
+    return specs
+
+
+def schedule_doc(fleet: list[PulseSpec], groups) -> dict:
+    """The schedule report's rows: each load's group numbered from 1 in the order of
+    `groups`, and its role from its entry in that group's placement."""
+    rows = []
+    for s in fleet:
+        [(number, group)] = [(n, g) for n, g in enumerate(groups, 1) if s.id in g.member_ids]
+        entry = group.assignment.placement[group.member_ids.index(s.id)]
+        role = "bin" if entry is None else "item"
+        rows.append({"id": s.id, "group": number, "role": role, "phase_s": seconds_str(s.phase)})
+    return {"loads": rows}
+
+
 class TestRenderersAgainstJsonDumps:
     @seed(20616)
     @settings(max_examples=150, deadline=None, database=None)
@@ -786,21 +814,10 @@ class TestRenderersAgainstJsonDumps:
 
     @seed(20616)
     @settings(max_examples=150, deadline=None, database=None)
-    @given(
-        st.lists(
-            st.fixed_dictionaries(
-                {
-                    "id": LOAD_IDS,
-                    "group": st.integers(0, 10**6),
-                    "role": st.sampled_from(("bin", "item")),
-                    "phase_s": st.integers(0, 10**9).map(seconds_str),
-                }
-            ),
-            max_size=5,
-        )
-    )
-    def test_schedule_json(self, rows):
-        assert schedule_json(rows) == dumped({"loads": rows})
+    @given(schedule_specs())
+    def test_schedule_json(self, specs):
+        fleet, groups = schedule_fleet(specs)
+        assert schedule_json(fleet, groups) == dumped(schedule_doc(fleet, groups))
 
     @seed(20616)
     @settings(max_examples=150, deadline=None, database=None)

@@ -49,25 +49,25 @@ UNREALIZABLE = [
 
 class TestPartition:
     def test_scenario2_splits_into_chain_and_five_hz_groups(self):
-        plan = partition_by_frequency(scenario2_specs())
-        assert len(plan.groups) == 2
-        assert plan.groups[0].anchor_id == 1
-        assert plan.groups[0].member_ids == (1, 2, 5, 6, 7, 8, 9, 10)
-        assert plan.groups[1].anchor_id == 3
-        assert plan.groups[1].member_ids == (3, 4)
+        groups = partition_by_frequency(scenario2_specs())
+        assert len(groups) == 2
+        assert groups[0].anchor_id == 1
+        assert groups[0].member_ids == (1, 2, 5, 6, 7, 8, 9, 10)
+        assert groups[1].anchor_id == 3
+        assert groups[1].member_ids == (3, 4)
 
     def test_equal_frequencies_form_one_group(self):
-        plan = partition_by_frequency([spec(i, 1000) for i in range(1, 5)])
-        assert len(plan.groups) == 1
-        assert plan.groups[0].member_ids == (1, 2, 3, 4)
+        groups = partition_by_frequency([spec(i, 1000) for i in range(1, 5)])
+        assert len(groups) == 1
+        assert groups[0].member_ids == (1, 2, 3, 4)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="unique"):
             partition_by_frequency([spec(1, 1000), spec(2, 2000), spec(1, 3000)])
 
     def test_coprime_frequencies_form_singletons(self):
-        plan = partition_by_frequency([spec(1, 3000), spec(2, 7000)])
-        assert [g.member_ids for g in plan.groups] == [(1,), (2,)]
+        groups = partition_by_frequency([spec(1, 3000), spec(2, 7000)])
+        assert [g.member_ids for g in groups] == [(1,), (2,)]
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -77,8 +77,8 @@ class TestPartition:
         rng = random.Random(307)
         for _ in range(30):
             specs = random_multifreq_fleet(rng, rng.randrange(1, 9))
-            plan = partition_by_frequency(specs)
-            seen = [i for g in plan.groups for i in g.member_ids]
+            groups = partition_by_frequency(specs)
+            seen = [i for g in groups for i in g.member_ids]
             assert sorted(seen) == sorted(s.id for s in specs)
             assert len(seen) == len(set(seen))
 
@@ -87,7 +87,7 @@ class TestPartition:
         for _ in range(30):
             specs = random_multifreq_fleet(rng, rng.randrange(1, 9))
             by_id = {s.id: s for s in specs}
-            for g in partition_by_frequency(specs).groups:
+            for g in partition_by_frequency(specs):
                 anchor_period = by_id[g.anchor_id].period
                 assert all(by_id[m].period % anchor_period == 0 for m in g.member_ids)
 
@@ -99,34 +99,32 @@ class TestPartition:
             rng.shuffle(shuffled)
             a = partition_by_frequency(specs)
             b = partition_by_frequency(shuffled)
-            assert [frozenset(g.member_ids) for g in a.groups] == [
-                frozenset(g.member_ids) for g in b.groups
-            ]
+            assert [frozenset(g.member_ids) for g in a] == [frozenset(g.member_ids) for g in b]
 
 
 class TestScheduleFleet:
     def test_single_frequency_fleet_matches_samefreq_path(self):
         specs = [spec(i, 1000, width=w) for i, w in ((1, 500), (2, 500), (3, 300))]
-        fleet, plan = schedule_fleet(specs)
-        assert len(plan.groups) == 1
-        assignment = plan.groups[0].assignment
+        fleet, groups = schedule_fleet(specs)
+        assert len(groups) == 1
+        assignment = groups[0].assignment
         # load 1 sits in load 2's single off-interval, right behind its pulse
         assert assignment.placement == ((1, 1), None, None)
         assert assignment.bin_flags == (0, 1, 1)
         assert [s.phase for s in fleet] == [500, 0, 0]
 
     def test_scenario2_fleet_is_constant_fifty_amps(self):
-        fleet, plan = schedule_fleet(scenario2_specs())
+        fleet, groups = schedule_fleet(scenario2_specs())
         m = profile_metrics(aggregate_profile(fleet))
         assert (m.min_a, m.max_a, m.fluctuation_a, m.mean_a) == (50, 50, 0, 50)
-        bins_total = sum(g.assignment.bins_used if g.assignment else 1 for g in plan.groups)
-        assert bins_total == 5
+        assert all(g.assignment is not None for g in groups)
+        assert sum(g.assignment.bins_used for g in groups) == 5
 
     def test_singleton_fleet_unchanged(self):
         specs = [spec(1, 1000, phase=123)]
-        fleet, plan = schedule_fleet(specs)
+        fleet, groups = schedule_fleet(specs)
         assert fleet == specs
-        assert plan.groups[0].assignment.placement == (None,)
+        assert groups[0].assignment.placement == (None,)
 
     def test_output_ordered_by_id(self):
         specs = [spec(3, 1000), spec(1, 2000), spec(2, 1000, phase=7)]
@@ -137,8 +135,8 @@ class TestScheduleFleet:
         # mixed ratios {2, 3} admit slot-feasible placements on one bin that
         # the offset rule cannot realize; the solver takes two bins, in the
         # placement that helpers.oracle_first_placement finds
-        fleet, plan = schedule_fleet(UNREALIZABLE)
-        assignment = plan.groups[0].assignment
+        fleet, groups = schedule_fleet(UNREALIZABLE)
+        assignment = groups[0].assignment
         assert assignment.placement == ((2, 2), (2, 1), None, (2, 2), (2, 1), None)
         assert assignment.bins_used == 2
         assert_bins_at_unit_level(UNREALIZABLE, assignment, fleet)
@@ -149,8 +147,8 @@ class TestScheduleFleet:
             spec("p", 7777, width=3500, phase=100),
             spec("q", 7777, width=3500),
         ]
-        fleet, plan = schedule_fleet(conflicted)
-        assert [g.assignment.bins_used for g in plan.groups] == [2, 1]
+        fleet, groups = schedule_fleet(conflicted)
+        assert [g.assignment.bins_used for g in groups] == [2, 1]
         by_id = {s.id: s for s in fleet}
         # the indivisible-period pair still got staggered back to back
         assert (by_id["p"].phase - by_id["q"].phase) % 7777 == 3500
@@ -162,11 +160,11 @@ class TestScheduleFleet:
         specs = [PulseSpec(1, 1, 2, 1)] + [PulseSpec(i, 1, 10**6, 1) for i in (2, 3, 4)]
         tracemalloc.start()
         try:
-            fleet, plan = schedule_fleet(specs)
+            fleet, groups = schedule_fleet(specs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert plan.groups[0].assignment.placement == (None, (0, 1), (0, 2), (0, 3))
+        assert groups[0].assignment.placement == (None, (0, 1), (0, 2), (0, 3))
         assert [s.phase for s in fleet] == [0, 1, 3, 5]
         assert peak < 5 * 2**20
 
@@ -183,9 +181,10 @@ class TestScheduleFleet:
         rng = random.Random(331)
         for _ in range(15):
             specs = random_multifreq_fleet(rng, rng.randrange(2, 7))
-            fleet, plan = schedule_fleet(specs)
+            fleet, groups = schedule_fleet(specs)
             by_id = {s.id: s for s in fleet}
-            for g in plan.groups:
+            assert all(g.assignment is not None for g in groups)
+            for g in groups:
                 if len(g.member_ids) == 1:
                     continue
                 unit = [
@@ -195,8 +194,7 @@ class TestScheduleFleet:
                 # each bin cluster has at most one member on at any instant,
                 # so the group's unit level is bounded by its cluster count
                 level = max(aggregate_profile(unit).levels)
-                assignment = g.assignment
-                assert level <= (assignment.bins_used if assignment else 1)
+                assert level <= g.assignment.bins_used
 
 
 class TestSolverNames:

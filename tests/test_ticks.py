@@ -12,7 +12,6 @@ from pulsesched import (
     AdjustmentRequest,
     NonRepresentableTimeError,
     PulseSpec,
-    files,
     prioritize_and_admit,
     ticks_from_seconds,
 )
@@ -82,10 +81,6 @@ def test_values_inside_the_bound_parse_exactly(value):
 def test_non_finite_or_non_decimal_text_is_a_value_error(value):
     with pytest.raises(ValueError, match="cannot parse"):
         as_fraction(value)
-
-
-def test_scenario_bounds_are_the_tick_bounds():
-    assert (files.MAX_EXPONENT, files.MAX_DIGITS) == (MAX_EXPONENT, MAX_DIGITS)
 
 
 SPACES = st.sampled_from(("", " ", "\t", "\n", "\xa0"))
