@@ -8,7 +8,15 @@ prints nothing on stdout, and one that fails to read or compute leaves no `--out
 A run whose report write or waveform build fails, or that cannot print its
 lines, removes the reports it wrote before that, so it leaves none of its own
 reports (a report it had replaced is gone as well) and no other file in
-`--out` is touched.
+`--out` is touched; then it removes the `--out` directories it created,
+deepest first, each only if it is empty.
+
+`main` pauses the cyclic garbage collector for the whole call, from parsing
+the arguments to the last print. A run builds no reference cycles, only
+some 10^4 acyclic containers on a large fleet (specs, Fractions, key
+tuples), so the collector's passes over them find nothing to free. The
+caller's collector state is restored whether `main` returns or raises
+(argparse's SystemExit).
 
 Exit codes: 0 success, 2 scenario validation failure (a quantity's decimal
 exponent beyond ±ticks.MAX_EXPONENT, a mantissa or "p/q" side of more than
@@ -18,19 +26,22 @@ ValueError: an infeasible power plan, a duty de-rating whose scaled
 on-widths fall off the tick grid, a hyperperiod beyond the tick range, a
 waveform sweep above its edge budget, a common denominator of the loads'
 amplitudes (in the sweep) or SOCs or mean powers (in admission) that passes
-waveform.MAX_DENOMINATOR_BITS, a waveform CSV level whose numerator or
-denominator passes sys.get_int_max_str_digits(), and an OSError while
-creating `--out`, writing a report or printing, whose line names the path or
-`stdout`, as does a stdout whose encoding cannot encode the lines. Each
-failure prints one `error:` line to stderr. `schedule` schedules every
-group, so its `--allow-partial` is accepted and ignored.
+waveform.MAX_DENOMINATOR_BITS, a waveform CSV level or a de-rated
+amplitude whose numerator or denominator passes sys.get_int_max_str_digits(),
+and an OSError while creating `--out`, writing a report or printing, whose
+line names the path or `stdout`, as does a stdout whose encoding cannot
+encode the lines. Each failure prints one `error:` line to stderr.
+`schedule` schedules every group, so its `--allow-partial` is accepted and
+ignored.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 from . import files
@@ -101,7 +112,10 @@ def cmd_plan_power(args, scenario: Scenario) -> tuple:
     reports = {}
     if plan.p_sum_w > plan.p_max_w:
         plan, derated = enforce_limit(plan, scenario.loads, mode)
-        reports["derated.json"] = files.scenario_json(derated, scenario.p_max_w, mode)
+        try:  # a de-rated amplitude's p/q, over the loads' common denominator, can pass the limit
+            reports["derated.json"] = files.scenario_json(derated, scenario.p_max_w, mode)
+        except ValueError as exc:  # str() of an int past the limit, the only ValueError there
+            raise files.digit_limit_error("the de-rated scenario cannot print an amplitude") from exc
     reports["plan.json"] = files.plan_json(plan)
     lines = [
         f"admitted: {list(plan.admitted)}, postponed: {list(plan.postponed)}, "
@@ -155,13 +169,26 @@ def _discard_stdout() -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command line; the cyclic collector is paused for the run and left as found."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:  # argparse's SystemExit included
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     args = _PARSER.parse_args(argv)
     written: list[Path] = []  # this run's reports, removed again if a later step fails
+    made: list[Path] = []  # the --out directories this run creates, deepest first
     printing = False  # an error from here on is stdout's, not a report's
     try:
         scenario = load_scenario(args.scenario)
         lines, reports, profile = args.func(args, scenario)
         out = Path(args.out)
+        made += takewhile(lambda d: not d.exists(), (out, *out.parents))
         out.mkdir(parents=True, exist_ok=True)
         stem = Path(args.scenario).stem
 
@@ -197,6 +224,9 @@ def main(argv=None) -> int:
     for path in written:
         with contextlib.suppress(OSError):
             path.unlink()
+    for directory in made:  # rmdir removes only an empty one
+        with contextlib.suppress(OSError):
+            directory.rmdir()
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -1,4 +1,5 @@
 """Command-line behavior: exit codes, artifacts, determinism, round-trips."""
+import gc
 import json
 import math
 import os
@@ -236,7 +237,7 @@ class TestErrorContract:
             os.close(write_end)
         assert proc.returncode == 3
         assert proc.stderr.decode() == "error: cannot write stdout: Broken pipe\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()  # its report removed, then the --out it created
 
     @pytest.mark.parametrize(
         "argv, blocked",
@@ -361,11 +362,12 @@ class TestErrorContract:
         sc = tmp_path / "levels.json"
         sc.write_text(json.dumps({"loads": loads}))
         out = tmp_path / "out"
-        assert run([command, sc, "--out", out, "--csv"]) == 3
+        assert run([command, sc, "--out", out / "deep", "--csv"]) == 3
         captured = capsys.readouterr()
         assert captured.err == self.csv_digit_limit_error()
         assert captured.out == ""
-        assert list(out.iterdir()) == []  # the reports written before the CSV are removed
+        # the reports written before the CSV are removed, then both directories the run created
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, written", [(4, True), (5, False)])
     def test_csv_refuses_only_a_level_past_the_digit_limit(self, tmp_path, capsys, n, written):
@@ -451,7 +453,7 @@ class TestErrorContract:
             "error: cannot write stdout: 'ascii' codec can't encode character '\\xe9' "
             "in position 12: ordinal not in range(128)\n"
         )
-        assert list(out.iterdir()) == []
+        assert not out.exists()  # its report removed, then the --out it created
 
 
 class TestPlanPower:
@@ -470,6 +472,7 @@ class TestPlanPower:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+        assert gc.isenabled()  # main restores the collector on argparse's SystemExit too
 
     def test_amplitude_mode_scales_five_sixths(self, tmp_path):
         sc = tmp_path / "cap.json"
@@ -537,6 +540,26 @@ class TestPlanPower:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_derated_amplitude_past_the_digit_limit_exits_3(self, tmp_path, capsys):
+        """Ten 1 Hz loads of 1 V with amplitudes 1/(10**999 + k), de-rated to a cap of 1/10**999 W:
+        each de-rated amplitude is a ratio over their common denominator of 10^4 digits."""
+        loads = [
+            {"id": k, "amplitude_a": f"1/{10**999 + k}", "voltage_v": 1, "soc_pct": 50,
+             "frequency_hz": 1, "duty_pct": 100, "phase_s": 0}
+            for k in range(1, 11)
+        ]
+        sc = tmp_path / "amps.json"
+        sc.write_text(json.dumps({"loads": loads, "power": {"p_max_w": f"1/{10**999}"}}))
+        out = tmp_path / "out"
+        assert run(["plan-power", sc, "--out", out, "--mode", "amplitude"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: the de-rated scenario cannot print an amplitude whose numerator or denominator "
+            f"has more than {sys.get_int_max_str_digits()} digits\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_missing_soc_exits_4(self, tmp_path):
         sc = tmp_path / "nosoc.json"
         sc.write_text(
@@ -587,6 +610,30 @@ class TestOneProcess:
         assert "power_demo.derated.json" in {f.name for f in (tmp_path / "here0").iterdir()}
         assert [f.name for f in (tmp_path / "here1").iterdir()] == ["power_demo.plan.json"]
         assert json.loads((tmp_path / "here1" / "power_demo.plan.json").read_text())["mode"] is None
+
+
+    def test_a_run_makes_no_garbage_collection(self, tmp_path):
+        """The collector is paused for the run: a de-rating plan on 1000 loads, which allocates
+        some 10^4 containers, sets off no collection while it runs, and the collector is on
+        again after it."""
+        loads = [
+            {"id": k, "amplitude_a": 1 + k % 7, "voltage_v": 400, "soc_pct": k % 100,
+             "frequency_hz": (1, 2, 5, 10)[k % 4], "duty_pct": 50, "phase_s": 0}
+            for k in range(1000)
+        ]
+        sc = tmp_path / "fleet.json"
+        sc.write_text(json.dumps({"loads": loads, "power": {"p_max_w": 10**5}}))
+        argv = ["plan-power", str(sc), "--out", str(tmp_path), "--mode", "amplitude"]
+        assert gc.isenabled()
+        # get_stats reads the counts before it allocates its list, and the first allocation
+        # after the run may set off the collection that the run's allocations have earned
+        before = gc.get_stats()
+        code = main(argv)
+        after = gc.get_stats()
+        assert code == 0
+        assert sum(s["collections"] for s in after) == sum(s["collections"] for s in before)
+        assert gc.isenabled()
+        assert (tmp_path / "fleet.derated.json").exists()
 
 
 class TestConsoleScript:

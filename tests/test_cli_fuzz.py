@@ -8,6 +8,7 @@ or joined by unknown keys. Every subcommand must then exit with a
 documented code and, on failure, print exactly one `error:` line.
 """
 import contextlib
+import gc
 import io
 import json
 import re
@@ -145,11 +146,23 @@ def test_every_subcommand_keeps_the_exit_code_contract(text):
             handle.write(text)
         for command in ("simulate", "schedule", "plan-power"):
             err = io.StringIO()
+            collecting = gc.isenabled()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main([command, path, "--out", tmp])
+            assert gc.isenabled() == collecting, command  # main leaves the collector as it found it
             assert code in (0, 2, 3, 4), (command, code)
             if code == 0:
                 assert err.getvalue() == "", command
             else:
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+
+
+def test_the_contract_holds_with_the_collector_disabled_beforehand():
+    """main pauses the collector and restores the state it found: here, disabled."""
+    gc.disable()
+    try:
+        test_every_subcommand_keeps_the_exit_code_contract()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
