@@ -442,19 +442,13 @@ def waveform_csv(profile: StepProfile) -> str:
     numerator or denominator passes sys.get_int_max_str_digits() is a WorkBudgetError."""
     den = profile.denominator
     levels = sorted(set(profile.scaled))  # each distinct level rendered once
-    try:  # str() or "%d" of an int past the limit is the only ValueError here
-        if TICKS_PER_SECOND % den or levels[0] < 0:  # "p/q" levels; the template takes no sign
-            texts = map(_ratio_str, levels, repeat(den))
-        else:  # every level is a whole number of millionths, so its text is a seconds text:
-            # slices of at most 1024, each one "%" call over its (whole, millionths) pairs
-            unit, texts = TICKS_PER_SECOND // den, []
-            for start in range(0, len(levels), 1024):
-                micros = map(unit.__mul__, levels[start : start + 1024])
-                pairs = tuple(chain.from_iterable(map(divmod, micros, repeat(TICKS_PER_SECOND))))
-                lines = ("%d.%06d\n" * (len(pairs) // 2) % pairs).splitlines()
-                texts += map(str.rstrip, map(str.rstrip, lines, repeat("0")), repeat("."))
+    if TICKS_PER_SECOND % den or levels[0] < 0:  # "p/q" levels; seconds_strs takes no sign
+        texts = map(_ratio_str, levels, repeat(den))
+    else:  # every level is a whole number of millionths, so its text is a seconds text
+        texts = seconds_strs([v * (TICKS_PER_SECOND // den) for v in levels])
+    try:
         text_of = dict(zip(levels, map(",%s\n".__mod__, texts)))
-    except ValueError as exc:
+    except ValueError as exc:  # str() of an int past the limit, the only ValueError here
         raise digit_limit_error("the waveform CSV cannot print a level") from exc
     # one join: the header, then each row as its time and its level
     pieces = ["t_s,i_total_a\n", *repeat(None, 2 * len(profile.scaled))]

@@ -625,8 +625,11 @@ class TestOneProcess:
         sc.write_text(json.dumps({"loads": loads, "power": {"p_max_w": 10**5}}))
         argv = ["plan-power", str(sc), "--out", str(tmp_path), "--mode", "amplitude"]
         assert gc.isenabled()
-        # get_stats reads the counts before it allocates its list, and the first allocation
-        # after the run may set off the collection that the run's allocations have earned
+        # a collection now zeroes the generation counts, so the few allocations between here
+        # and main's gc.disable() (get_stats' own list and dicts among them) cannot set one
+        # off; get_stats reads the counts before it allocates, and the first allocation after
+        # the run may set off the collection that the run's allocations have earned
+        gc.collect()
         before = gc.get_stats()
         code = main(argv)
         after = gc.get_stats()
