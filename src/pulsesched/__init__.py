@@ -6,7 +6,6 @@ arithmetic, and the power-preservation identities hold as equalities.
 """
 
 from .adjust import (
-    AdjustmentRequest,
     adjust_waveform,
     scale_amplitudes_to_limit,
     scale_duties_to_limit,
@@ -50,7 +49,6 @@ from .waveform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustmentRequest",
     "AssignmentMultiFreq",
     "EmptyInputError",
     "Group",

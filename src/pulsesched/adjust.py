@@ -8,7 +8,7 @@ preservation identities are testable as equalities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import (
@@ -18,29 +18,19 @@ from .errors import (
     ZeroDutyError,
 )
 from .ticks import as_fraction
-from .waveform import PulseSpec, _mean_powers
+from .waveform import PulseSpec, _mean_powers, _require_voltages
 
 
-@dataclass(frozen=True)
-class AdjustmentRequest:
-    """Target duty (and optionally a new charging voltage) for one load."""
-
-    target_duty: Fraction
-    new_voltage: Fraction | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "target_duty", as_fraction(self.target_duty))
-        if self.new_voltage is not None:
-            object.__setattr__(self, "new_voltage", as_fraction(self.new_voltage))
-
-
-def adjust_waveform(spec: PulseSpec, req: AdjustmentRequest) -> PulseSpec:
+def adjust_waveform(spec: PulseSpec, target_duty, new_voltage=None) -> PulseSpec:
     """Retarget the duty ratio, rescaling amplitude so mean power is unchanged.
 
-    The period and phase stay fixed. With voltages U and U' the new amplitude
-    is (D·U·I)/(D'·U'); when neither side carries a voltage the ratio is 1.
+    Both values are exact inputs, as `as_fraction` takes them. The period and
+    phase stay fixed. With voltages U and U' the new amplitude is
+    (D·U·I)/(D'·U'); when neither side carries a voltage the ratio is 1.
     """
-    d_new = req.target_duty
+    d_new = as_fraction(target_duty)
+    if new_voltage is not None:
+        new_voltage = as_fraction(new_voltage)
     if d_new <= 0:
         raise ZeroDutyError(f"target duty {d_new} must be positive")
     if d_new > 1:
@@ -50,13 +40,12 @@ def adjust_waveform(spec: PulseSpec, req: AdjustmentRequest) -> PulseSpec:
         raise NonRepresentableDutyError(
             f"duty {d_new} of period {spec.period} ticks is not an integral on-width"
         )
-    if req.new_voltage is not None:
+    if new_voltage is not None:
         if spec.voltage is None:
             raise MissingVoltageError(
                 f"load {spec.id!r} has no voltage to adjust from"
             )
-        voltage_ratio = spec.voltage / req.new_voltage
-        new_voltage = req.new_voltage
+        voltage_ratio = spec.voltage / new_voltage
     else:
         voltage_ratio = Fraction(1)
         new_voltage = spec.voltage
@@ -72,9 +61,7 @@ def _derating_ratio(specs: list[PulseSpec], p_max, p_sum) -> Fraction:
         raise ValueError(f"power cap {p_max} must be positive")
     if p_sum <= p_max:
         raise NotOverLimitError(f"total power {p_sum} W does not exceed the cap {p_max} W")
-    for s in specs:
-        if s.voltage is None:
-            raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
+    _require_voltages(specs)
     return p_max / p_sum
 
 

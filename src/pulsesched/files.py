@@ -55,12 +55,7 @@ class Scenario:
 
 def amount_str(value: Fraction) -> str:
     """Canonical report form: rounded half-even to 3 decimals, zeros stripped."""
-    thousandths = round(Fraction(value) * 1000)
-    sign = "-" if thousandths < 0 else ""
-    whole, frac = divmod(abs(thousandths), 1000)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:03d}".rstrip("0")
+    return seconds_str(round(Fraction(value) * 1000) * 1000)  # thousandths as µs ticks
 
 
 def exact_str(value: Fraction) -> str:

@@ -3,10 +3,10 @@
 Groups are formed greedily: the highest-frequency unassigned load anchors a
 group and pulls in every unassigned load whose period is an integer multiple
 of the anchor's (equivalently, whose frequency divides the anchor's). Every
-group of two or more loads is solved by the one hyperperiod solver, whose
-solution always realizes (a one-period group goes through the same solver
-under the names that the benchmark's tracer wraps); a singleton is its own
-bin and keeps its phase. A group is numbered by its position in the
+group is solved by the one hyperperiod solver, whose solution always
+realizes; a one-period group, a singleton included, goes through it under
+the names that the benchmark's tracer wraps. A singleton comes back as its
+own bin with its phase. A group is numbered by its position in the
 returned tuple, plus one.
 """
 from __future__ import annotations
@@ -67,9 +67,7 @@ def schedule_fleet(specs: list[PulseSpec]) -> tuple[list[PulseSpec], tuple[Group
 
     for group in partition_by_frequency(specs):
         members = [by_id[i] for i in group.member_ids]
-        if len(members) == 1:
-            assignment = AssignmentMultiFreq(placement=(None,))
-        elif len({m.period for m in members}) == 1:
+        if len({m.period for m in members}) == 1:
             assignment = solve_samefreq(members)
             members = realize_phases_samefreq(members, assignment)
         else:

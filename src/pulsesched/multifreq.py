@@ -29,9 +29,10 @@ with capacity H: a group's pulses are disjoint, so its work fits H. Per
 subset a host check comes first, then one complete backtracking search
 that places the items in the rule's order, each at the rule's offset,
 trying hosts by bin index, then slot classes in ascending order. The
-first subset that realizes takes the first placement that the search
-finds in the rule's order; the all-bins subset has no items, so some
-subset always realizes.
+search is a loop over one generator per placed item, not a recursion, so
+a group of any size fits the interpreter's stack. The first subset that
+realizes takes the first placement that the search finds in the rule's
+order; the all-bins subset has no items, so some subset always realizes.
 """
 from __future__ import annotations
 
@@ -122,7 +123,7 @@ class _Packer:
         members = set(items)
         order = [j for j in self.order if j in members]
         chosen = [None] * len(order)
-        if not _search(room, self.placed, [self.entries[j] for j in order], chosen, 0):
+        if not _search(room, self.placed, [self.entries[j] for j in order], chosen):
             return None
         return dict(zip(order, chosen))
 
@@ -138,19 +139,36 @@ def _l2_bound(sizes: list[int], cap: int) -> int:
     return best
 
 
-def _search(room: list[int], placed: list[list], todo: list, chosen: list, pos: int) -> bool:
-    """Complete backtracking over (bin, slot class) for todo[pos:], in option order.
+def _search(room: list[int], placed: list[list], todo: list, chosen: list) -> bool:
+    """Complete backtracking over (bin, slot class) for `todo`, in option order.
+
+    A loop over one `_moves` generator per placed item, so the depth is no
+    recursion depth. On success chosen holds the first solution, and the
+    generators are closed last first, which takes every item out of `room`
+    and `placed` again; on failure each generator has undone its last option.
+    """
+    levels = []
+    while len(levels) < len(todo):
+        levels.append(_moves(room, placed, todo[len(levels)], chosen, len(levels)))
+        while not next(levels[-1], False):  # exhausted: back up to the previous item
+            levels.pop()
+            if not levels:
+                return False
+    for level in reversed(levels):
+        level.close()
+    return True
+
+
+def _moves(room: list[int], placed: list[list], entry: tuple, chosen: list, pos: int):
+    """One search node: apply each option of item `entry` in turn, yield, and undo it.
 
     Each item takes the lowest offset of the chosen class; an option whose
-    offset leaves the off-interval is skipped. On success chosen[pos:]
-    holds the first solution. Bins with equal keys host every later item
-    alike, as none is wider, so only the first of them is tried at each
-    node: a stacking bin's key is its room, another bin's is its ratio,
-    off-width and intervals.
+    offset leaves the off-interval is skipped. Bins with equal keys host
+    every later item alike, as none is wider, so only the first of them is
+    tried at each node: a stacking bin's key is its room, another bin's is
+    its ratio, off-width and intervals.
     """
-    if pos == len(todo):
-        return True
-    w, options = todo[pos]
+    w, options = entry
     tried = set()
     for b, stacks, ratio, classes in options:
         cap = room[b]
@@ -164,10 +182,10 @@ def _search(room: list[int], placed: list[list], todo: list, chosen: list, pos: 
         if stacks:
             room[b] = cap - w
             chosen[pos] = (b, 1)
-            done = _search(room, placed, todo, chosen, pos + 1)
-            room[b] = cap
-            if done:
-                return True
+            try:
+                yield True
+            finally:
+                room[b] = cap
             continue
         for c in classes:
             offset = _lowest(others, ratio, c, w, cap)
@@ -175,11 +193,10 @@ def _search(room: list[int], placed: list[list], todo: list, chosen: list, pos: 
                 continue
             others.append((ratio, c, offset, offset + w))
             chosen[pos] = (b, c)
-            done = _search(room, placed, todo, chosen, pos + 1)
-            others.pop()
-            if done:
-                return True
-    return False
+            try:
+                yield True
+            finally:
+                others.pop()
 
 
 def _rule_order(specs: list[PulseSpec], loads: Iterable[int]) -> list[int]:

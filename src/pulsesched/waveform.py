@@ -204,10 +204,16 @@ class Metrics:
     mean_a: Fraction
 
 
+def _require_voltages(specs) -> None:
+    """MissingVoltageError for the first load in `specs` without a charging voltage."""
+    for s in specs:
+        if s.voltage is None:
+            raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
+
+
 def mean_power(spec: PulseSpec) -> Fraction:
     """Mean charging power over one period: duty × voltage × current."""
-    if spec.voltage is None:
-        raise MissingVoltageError(f"load {spec.id!r} carries no charging voltage")
+    _require_voltages((spec,))
     return spec.duty * spec.voltage * spec.amplitude
 
 
@@ -225,9 +231,7 @@ def _common_denominator(dens, what: str) -> int:
 
 def _mean_powers(specs: list[PulseSpec]) -> tuple[list[int], int]:
     """Each load's mean power, duty × voltage × amplitude, as an integer over one denominator."""
-    for s in specs:
-        if s.voltage is None:
-            raise MissingVoltageError(f"load {s.id!r} carries no charging voltage")
+    _require_voltages(specs)
     dens = [s.period * s.voltage.denominator * s.amplitude.denominator for s in specs]
     den = _common_denominator(dens, "mean powers")
     powers = [

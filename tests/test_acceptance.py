@@ -22,7 +22,6 @@ from helpers import (
     samefreq_subset_feasible,
 )
 from pulsesched import (
-    AdjustmentRequest,
     PulseSpec,
     adjust_waveform,
     aggregate_profile,
@@ -190,7 +189,7 @@ def test_criterion_7_property_suite():
                 for amplitude in (Fraction(10), Fraction(13, 4)):
                     s = PulseSpec(id=1, amplitude=amplitude, period=period,
                                   on_width=period // 2, voltage=voltage)
-                    out = adjust_waveform(s, AdjustmentRequest(duty))
+                    out = adjust_waveform(s, duty)
                     assert mean_power(out) == mean_power(s)
 
         # (f) enforce_limit lands exactly on the cap and is idempotent

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from pulsesched import (
-    AdjustmentRequest,
     MissingVoltageError,
     NonRepresentableDutyError,
     NotOverLimitError,
@@ -25,7 +24,7 @@ def spec(amp=10, period=1000, width=500, voltage=None):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: adjust_waveform(spec(), AdjustmentRequest(Fraction(3, 2))), ValueError, "exceeds 1"),
+        (lambda: adjust_waveform(spec(), Fraction(3, 2)), ValueError, "exceeds 1"),
         (lambda: scale_amplitudes_to_limit([spec(voltage=3)], 0, 10), ValueError, "must be positive"),
         (lambda: scale_duties_to_limit([spec(voltage=3)], -1, 10), ValueError, "must be positive"),
         (lambda: scale_amplitudes_to_limit([spec()], 1, 10), MissingVoltageError, "no charging voltage"),
@@ -39,43 +38,43 @@ def test_refusals(call, error, message):
 
 class TestAdjustWaveform:
     def test_halving_duty_doubles_amplitude(self):
-        out = adjust_waveform(spec(voltage=3), AdjustmentRequest(Fraction(1, 4)))
+        out = adjust_waveform(spec(voltage=3), Fraction(1, 4))
         assert out.amplitude == 20
         assert out.on_width == 250
         assert mean_power(out) == mean_power(spec(voltage=3))
 
     def test_identity(self):
         s = spec(voltage=5)
-        out = adjust_waveform(s, AdjustmentRequest(Fraction(1, 2), new_voltage=5))
+        out = adjust_waveform(s, Fraction(1, 2), new_voltage=5)
         assert out == s
 
     def test_voltage_substitution(self):
         s = PulseSpec(id=1, amplitude=10, period=1000, on_width=600, voltage=5)
-        out = adjust_waveform(s, AdjustmentRequest(Fraction(1, 2), new_voltage=6))
+        out = adjust_waveform(s, Fraction(1, 2), new_voltage=6)
         assert out.amplitude == 10
         assert out.voltage == 6
         assert mean_power(out) == mean_power(s)
 
     def test_period_and_phase_unchanged(self):
         s = PulseSpec(id=1, amplitude=4, period=1200, on_width=600, phase=77, voltage=2)
-        out = adjust_waveform(s, AdjustmentRequest(Fraction(1, 3)))
+        out = adjust_waveform(s, Fraction(1, 3))
         assert (out.period, out.phase) == (1200, 77)
 
     def test_works_without_voltage(self):
-        out = adjust_waveform(spec(), AdjustmentRequest(Fraction(1, 4)))
+        out = adjust_waveform(spec(), Fraction(1, 4))
         assert out.amplitude == 20
 
     def test_new_voltage_requires_old(self):
         with pytest.raises(MissingVoltageError):
-            adjust_waveform(spec(), AdjustmentRequest(Fraction(1, 4), new_voltage=3))
+            adjust_waveform(spec(), Fraction(1, 4), new_voltage=3)
 
     def test_nonintegral_width_rejected(self):
         with pytest.raises(NonRepresentableDutyError):
-            adjust_waveform(spec(period=1000), AdjustmentRequest(Fraction(1, 3)))
+            adjust_waveform(spec(period=1000), Fraction(1, 3))
 
     def test_zero_duty_rejected(self):
         with pytest.raises(ZeroDutyError):
-            adjust_waveform(spec(), AdjustmentRequest(Fraction(0)))
+            adjust_waveform(spec(), Fraction(0))
 
     def test_preserves_power_on_rational_grid(self):
         # exhaustive over a grid of duties x voltages x amplitudes
@@ -83,7 +82,7 @@ class TestAdjustWaveform:
         for num, den in [(1, 2), (1, 3), (2, 3), (1, 4), (5, 6), (1, 7), (9, 10), (1, 1)]:
             s = PulseSpec(id=1, amplitude=Fraction(7, 3), period=period,
                           on_width=period // 2, voltage=Fraction(11, 4))
-            out = adjust_waveform(s, AdjustmentRequest(Fraction(num, den)))
+            out = adjust_waveform(s, Fraction(num, den))
             assert mean_power(out) == mean_power(s)
 
 

@@ -75,6 +75,10 @@ class TestFormatting:
         assert amount_str(Fraction(5, 6)) == "0.833"
         assert amount_str(Fraction(1, 8)) == "0.125"
         assert amount_str(Fraction(25, 10000)) == "0.002"  # 0.0025 rounds to even
+        assert amount_str(Fraction(3, 2000)) == "0.002"  # 0.0015 rounds to even, up
+        assert amount_str(Fraction(-1, 2000)) == "0"  # -0.0005 rounds to 0, unsigned
+        assert amount_str(Fraction(-1, 400)) == "-0.002"
+        assert amount_str(Fraction(-7, 2)) == "-3.5"
 
     def test_exact_str_prefers_decimals(self):
         assert exact_str(Fraction(13, 20)) == "0.65"

@@ -212,7 +212,8 @@ class TestSolverNames:
             # the 5 Hz pair has one period; the other eight loads nest
             (load_scenario(SCENARIOS / "scenario2_random.json").loads, 1, 1),
             (load_scenario(SCENARIOS / "scenario1_random.json").loads, 1, 0),
-            ([spec(1, 2), spec(2, 3)], 0, 0),  # singleton groups are not solved
+            # a singleton is a one-period group: it is solved under the samefreq names too
+            ([spec(1, 2), spec(2, 3)], 2, 0),
         ],
         ids=["scenario2", "scenario1", "singletons"],
     )

@@ -163,18 +163,39 @@ class TestSolve:
     )
     def test_equal_bins_are_tried_once_per_node(self, monkeypatch, specs, bins, most_calls):
         calls = 0
-        search = multifreq._search
+        moves = multifreq._moves
 
-        def counted(*args):
+        def counted(*args):  # one call per search node
             nonlocal calls
             calls += 1
             assert calls <= most_calls, "the search tries equal bins more than once"
-            return search(*args)
+            return moves(*args)
 
-        monkeypatch.setattr(multifreq, "_search", counted)
+        monkeypatch.setattr(multifreq, "_moves", counted)
         a = solve_multifreq(specs)
         assert a.bins_used == bins
         assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
+
+    @pytest.mark.parametrize("slow_period", [None, 2_000_000], ids=["one-period", "with-a-2s-load"])
+    def test_search_depth_is_no_recursion_depth(self, monkeypatch, slow_period):
+        # 1200 one-tick pulses at 1 Hz fit one host: the search places 1199
+        # items, one level each, past the interpreter's recursion limit; a
+        # 2 s load first makes the host's slots hold intervals, not a room
+        n = 1200
+        specs = [spec(i, 1_000_000, 1) for i in range(1, n + 1)]
+        if slow_period:
+            specs[0] = spec(1, slow_period, 1)
+        packers = []
+
+        class Recorded(multifreq._Packer):
+            def __init__(self, specs):
+                super().__init__(specs)
+                packers.append(self)
+
+        monkeypatch.setattr(multifreq, "_Packer", Recorded)
+        a = solve_multifreq(specs)
+        assert a.placement == ((n - 1, 1),) * (n - 1) + (None,)
+        assert not any(packers[0].placed), "the search leaves items placed after it returns"
 
     def test_degenerates_to_samefreq_on_equal_periods(self):
         # equal periods are the ratio-1 case: one slot per bin, class 1 for all

@@ -9,7 +9,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from pulsesched import (
-    AdjustmentRequest,
+    adjust_waveform,
     NonRepresentableTimeError,
     PulseSpec,
     prioritize_and_admit,
@@ -50,7 +50,7 @@ def test_library_entry_points_refuse_oversized_inputs_at_once():
     with pytest.raises(ValueError, match="exponent"):
         PulseSpec(1, "1e2000000", 10, 5)
     with pytest.raises(ValueError, match="exponent"):
-        AdjustmentRequest("1e-999999999")
+        adjust_waveform(PulseSpec(1, 1, 10, 5), "1e-999999999")
     with pytest.raises(ValueError, match="exponent"):
         prioritize_and_admit([PulseSpec(1, 1, 10, 5, voltage=1, soc=0)], "1e999999999")
     with pytest.raises(NonRepresentableTimeError, match="exponent"):
