@@ -25,21 +25,29 @@ The solver minimizes the number of bin-type loads over the placements
 that the rule realizes. It enumerates bin subsets in ascending size, in
 lexicographic order of the bin-flag vector, from Martello and Toth's L2
 over each load's work in one hyperperiod H (width times pulse count)
-with capacity H: a group's pulses are disjoint, so its work fits H. Per
-subset a host check comes first, then one complete backtracking search
-that places the items in the rule's order, each at the rule's offset,
-trying hosts by bin index, then slot classes in ascending order. The
-search is a loop over one generator per placed item, not a recursion, so
-a group of any size fits the interpreter's stack. The first subset that
-realizes takes the first placement that the search finds in the rule's
-order; the all-bins subset has no items, so some subset always realizes.
+with capacity H: a group's pulses are disjoint, so its work fits H. A
+load that no other load can host is a bin in every subset. A subset is
+refused if an item has no host among its bins, or if the items with one
+host each pass that host's off-time over H: exact, as such an item lies
+in its host's off-intervals, where a bin's items never overlap. Then one
+complete backtracking search places the items in the rule's order, each
+at the rule's offset, trying hosts by bin index, then slot classes in
+ascending order. Items of one period share one list of hosts, all loads
+whose period divides theirs; a host too narrow for the item is skipped
+by its room. The search is a loop over one generator per placed item,
+not a recursion, so a group of any size fits the interpreter's stack.
+The first subset that realizes takes the first placement that the search
+finds in the rule's order; the all-bins subset has no items, so some
+subset always realizes.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import accumulate, combinations
 from math import gcd
+from operator import or_
 
 from .errors import EmptyInputError, InvalidAssignmentError
 from .waveform import PulseSpec, hyperperiod, load_sort_key
@@ -77,39 +85,54 @@ class _Packer:
 
     Items are placed in the offset rule's own order: by descending width,
     ties by id. An option is one host of an item, (bin, stacks, ratio,
-    classes), and each item's options are listed by bin index. A bin whose
-    period is the hyperperiod hosts only ratio-1 items, which stack in its
-    one slot, so an integer room is its whole state; any other bin keeps
-    the (ratio, class, start, end) intervals of the items placed in it. A
-    load that is not a bin of the current subset has room 0, so no item
-    fits it.
+    classes). Items of one period share one option list: every load whose
+    period divides theirs, by bin index, the item itself and hosts too
+    narrow for it included, since the search skips a host whose room is
+    below the width. A bin whose period is the hyperperiod hosts only
+    ratio-1 items, which stack in its one slot, so an integer room is its
+    whole state; any other bin keeps the (ratio, class, start, end)
+    intervals of the items placed in it. A load that is not a bin of the
+    current subset has room 0, so no item fits it.
     """
 
     def __init__(self, specs: list[PulseSpec]):
         t_lcm = hyperperiod(specs)
         self.off = [s.off_width for s in specs]
+        # per load in one hyperperiod: its work (width times pulse count) and its off-time
+        self.work = [s.on_width * (t_lcm // s.period) for s in specs]
+        self.off_work = [s.off_width * (t_lcm // s.period) for s in specs]
+        tables = {}  # per distinct period: its _host_table
         self.entries = []  # per item: (width, options)
+        self.host_masks = []  # per item: the loads that can host it, by one bisection
         for j, item in enumerate(specs):
-            options = [
-                (b, host.period == t_lcm, r, range(1, r + 1))
-                for b, host in enumerate(specs)
-                if b != j and check_groupability(host, item)
-                for r in (item.period // host.period,)
-            ]
+            if item.period not in tables:
+                tables[item.period] = _host_table(specs, item.period, t_lcm)
+            options, widths, masks = tables[item.period]
             self.entries.append((item.on_width, options))
-        self.host_masks = [sum(1 << o[0] for o in entry[1]) for entry in self.entries]
+            self.host_masks.append(masks[bisect_left(widths, item.on_width)] & ~(1 << j))
         self.order = _rule_order(specs, range(len(specs)))
         self.placed: list[list[tuple[int, int, int, int]]] = [[] for _ in specs]
-        # a group that realizes has disjoint pulses, so its work (width times
-        # pulse count) fits one hyperperiod: bin packing's bounds apply
-        self.lower = _l2_bound([s.on_width * (t_lcm // s.period) for s in specs], t_lcm)
+        # a group that realizes has disjoint pulses, so its work fits one
+        # hyperperiod: bin packing's bounds apply
+        self.lower = _l2_bound(self.work, t_lcm)
 
     def room_for(self, items: tuple[int, ...]) -> list[int] | None:
-        """Each load's room with `items` as the non-bins; None if one has no host."""
+        """Each load's room with `items` as the non-bins; None if the subset cannot pack.
+
+        It cannot if an item has no host among the bins, or if the items
+        with one host each pass its off-time in one hyperperiod.
+        """
         mask = sum(1 << j for j in items)
+        forced = {}  # per host: the work of the items that have no other
         for j in items:
-            if not self.host_masks[j] & ~mask:
+            hosts = self.host_masks[j] & ~mask
+            if not hosts:
                 return None
+            if not hosts & (hosts - 1):
+                b = hosts.bit_length() - 1
+                forced[b] = work = forced.get(b, 0) + self.work[j]
+                if work > self.off_work[b]:
+                    return None
         room = self.off[:]
         for j in items:
             room[j] = 0
@@ -126,6 +149,17 @@ class _Packer:
         if not _search(room, self.placed, [self.entries[j] for j in order], chosen):
             return None
         return dict(zip(order, chosen))
+
+
+def _host_table(specs: list[PulseSpec], period: int, t_lcm: int) -> tuple[list, list[int], list[int]]:
+    """For the loads whose period divides `period`: their options by bin index,
+    their off-widths ascending, and per rank the mask of those ranked there or above."""
+    hosts = [b for b, host in enumerate(specs) if period % host.period == 0]
+    ratios = [period // specs[b].period for b in hosts]
+    options = [(b, specs[b].period == t_lcm, r, range(1, r + 1)) for b, r in zip(hosts, ratios)]
+    hosts.sort(key=lambda b: specs[b].off_width, reverse=True)
+    masks = list(accumulate((1 << b for b in hosts), or_, initial=0))[::-1]
+    return options, [specs[b].off_width for b in reversed(hosts)], masks
 
 
 def _l2_bound(sizes: list[int], cap: int) -> int:
@@ -234,10 +268,12 @@ def solve_multifreq(specs: list[PulseSpec]) -> AssignmentMultiFreq:
         raise EmptyInputError("nothing to schedule")
     n = len(specs)
     packer = _Packer(specs)
+    # a load that no other load can host is a bin in every subset
+    movable = [j for j in range(n) if packer.host_masks[j]]
     for count in range(packer.lower, n + 1):
         # item-position combinations in lexicographic order enumerate the
         # bin-flag vectors in lexicographic order for this bin count
-        for items in combinations(range(n), n - count):
+        for items in combinations(movable, n - count):
             found = packer.place(items)
             if found is not None:
                 return AssignmentMultiFreq(placement=tuple(found.get(i) for i in range(n)))
@@ -285,6 +321,9 @@ def realize_phases_multifreq(
             )
         others.append((ratio, cls, offset, offset + width))
         phase = bin_spec.phase + bin_spec.on_width + (cls - 1) * bin_spec.period + offset
-        out[j] = replace(specs[j], phase=phase % specs[j].period)
+        s = specs[j]  # a valid spec, and the phase is reduced: no check runs again
+        out[j] = PulseSpec._checked(
+            s.id, s.amplitude, s.period, s.on_width, phase % s.period, s.voltage, s.soc
+        )
     return out
 

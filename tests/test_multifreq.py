@@ -196,6 +196,31 @@ class TestSolve:
         a = solve_multifreq(specs)
         assert a.placement == ((n - 1, 1),) * (n - 1) + (None,)
         assert not any(packers[0].placed), "the search leaves items placed after it returns"
+        # one option list per period, not one per item
+        for period in {s.period for s in specs}:
+            lists = {id(packers[0].entries[j][1]) for j, s in enumerate(specs) if s.period == period}
+            assert len(lists) == 1
+
+    def test_items_forced_onto_one_host_are_refused_before_the_search(self, monkeypatch):
+        # the three 4-tick loads of period 10 can host only each other, in an
+        # off-width of 6: a subset that keeps one of them as a bin forces the
+        # other two onto it, which the search alone finds only after placing
+        # the wider 20-tick items in every way (1772 nodes in all)
+        specs = [spec(i, 10, 4) for i in range(1, 4)]
+        specs += [spec(i, 20, w) for i, w in enumerate((10, 9, 8, 7, 6, 5), 4)]
+        calls = 0
+        moves = multifreq._moves
+
+        def counted(*args):  # one call per search node
+            nonlocal calls
+            calls += 1
+            return moves(*args)
+
+        monkeypatch.setattr(multifreq, "_moves", counted)
+        a = solve_multifreq(specs)
+        assert calls <= 100
+        assert a.bins_used == 4
+        assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
 
     def test_degenerates_to_samefreq_on_equal_periods(self):
         # equal periods are the ratio-1 case: one slot per bin, class 1 for all
@@ -494,6 +519,57 @@ def test_solver_matches_brute_force_lex_min(specs):
     a = solve_multifreq(specs)
     assert a.placement == oracle_placement(specs)
     assert_bins_at_unit_level(specs, a, realize_phases_multifreq(specs, a))
+
+
+@st.composite
+def one_host_fleets(draw):
+    """Nested fleets in which 1-2 items of width base - 1 fit only the one load of width 1.
+
+    Such an item's hosts have the base period and an off-width of at least
+    base - 1; every other load is at least 2 ticks wide.
+    """
+    base = draw(st.sampled_from((6, 12, 20)))
+    multiples = draw(st.sampled_from(((1, 2), (1, 2, 4), (1, 2, 3, 6))))
+    loads = [(base, 1)] + [(base, base - 1)] * draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, 5))):
+        period = base * draw(st.sampled_from(multiples))
+        loads.append((period, draw(st.integers(2, period))))
+    order = draw(st.permutations(range(len(loads))))
+    return [spec(i + 1, *loads[k], amp=1) for i, k in enumerate(order)]
+
+
+@seed(20300)
+@settings(max_examples=150, deadline=None, database=None)
+@given(nested_fleets())
+def test_host_table_matches_the_pairwise_rule(specs):
+    packer = multifreq._Packer(specs)
+    for j, item in enumerate(specs):
+        hosts = [b for b, host in enumerate(specs) if b != j and check_groupability(host, item)]
+        assert packer.host_masks[j] == sum(1 << b for b in hosts)
+        listed = [option[0] for option in packer.entries[j][1]]
+        assert listed == sorted(listed)
+        assert set(hosts) <= set(listed)
+
+
+@seed(20301)
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(nested_fleets(), one_host_fleets()))
+def test_forced_host_refusals_are_exact(specs):
+    # every subset that the host test alone lets through but room_for
+    # refuses has no placement: the search on the host test's room fails
+    packer = multifreq._Packer(specs)
+    n = len(specs)
+    for size in range(1, n):
+        for items in combinations(range(n), size):
+            bins = [b for b in range(n) if b not in items]
+            if not all(any(check_groupability(specs[b], specs[j]) for b in bins) for j in items):
+                continue
+            if packer.room_for(items) is not None:
+                continue
+            room = [0 if j in items else s.off_width for j, s in enumerate(specs)]
+            order = [j for j in packer.order if j in items]
+            todo = [packer.entries[j] for j in order]
+            assert not multifreq._search(room, packer.placed, todo, [None] * len(order))
 
 
 @st.composite
